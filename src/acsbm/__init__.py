@@ -1,9 +1,10 @@
 """Degree-corrected stochastic block models with assortativity constraints.
 
 Fit DC-SBMs by relocation local search, optionally constraining the block
-parameter matrix to strong or weak assortativity via an embedded
-interior-point solver; generate synthetic benchmark networks; evaluate
-partitions; and orchestrate reproducible experiment sweeps.
+parameter matrix to strong assortativity (solved exactly) or weak
+assortativity (interior-point solver); generate synthetic benchmark
+networks; evaluate partitions; and orchestrate reproducible experiment
+sweeps.
 """
 
 __version__ = "0.1.0"

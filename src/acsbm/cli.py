@@ -156,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="assortativity constraints (ac-dc-sbm only)")
     g.add_argument("--runs", type=int, default=1)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--tol", type=float, default=1e-8)
+    g.add_argument("--tol", type=float, default=1e-8,
+                   help="weak-mode solver tolerance (strong mode is exact)")
     g.add_argument("--max-sweeps", type=int, default=None)
     g.add_argument("--workers", type=int, default=None,
                    help="parallel runs (default from ACSBM_WORKERS, else 1)")

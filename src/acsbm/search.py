@@ -12,6 +12,11 @@ Internally all comparisons happen on the full-likelihood scale: profile
 values differ from it by the partition-independent constant
 ``profile_offset``, which makes unconstrained candidate scores directly
 comparable with constrained incumbents.
+
+In strong mode every partition whose ratios m_rs/T_rs are at most 1 on the
+diagonal and at least 1 off it has the null optimum Omega = 1, likelihood -m.
+On that plateau the search also takes moves along it that raise modularity
+(which is <= 0 there) until a neighbour off the plateau scores higher.
 """
 
 from __future__ import annotations
@@ -78,8 +83,8 @@ class FitConfig:
 class FitResult:
     """Local optimum returned by :func:`fit`.
 
-    trace holds the strictly increasing sequence of accepted objective
-    values (full log-likelihood for likelihood runs, Q for modularity runs),
+    trace holds the strictly increasing objective values of the improving
+    moves (full log-likelihood for likelihood runs, Q for modularity runs),
     starting from the initial solution.
     """
 
@@ -218,6 +223,14 @@ def _random_partition(n: int, k: int, rng: random.Random) -> list[int]:
     return assign
 
 
+def _on_null_plateau(m, kappa, two_m) -> bool:
+    """Whether the strong optimum is Omega = 1: diagonal ratios <= 1 <= others."""
+    k = len(kappa)
+    return all(m[r][r] * two_m <= kappa[r] ** 2 for r in range(k)) and all(
+        m[r][s] * two_m >= kappa[r] * kappa[s]
+        for r in range(k) for s in range(r + 1, k))
+
+
 def _lambda_certificate(omega: np.ndarray) -> float:
     """A threshold witnessing strong feasibility of a feasible omega."""
     k = omega.shape[0]
@@ -263,6 +276,7 @@ def _fit_likelihood(graph: Graph, cfg: FitConfig, rng: random.Random,
     offset = profile_offset(stats.two_m)
     prof = _profile_from_caches(hm, hk)
 
+    two_m = stats.two_m
     n_solves = 0
     current_sol: OmegaSolution | None = None  # None means omega_mle is optimal
     if mode is AssortativityMode.NONE or is_feasible(omega_mle(stats), mode, 0.0):
@@ -272,6 +286,8 @@ def _fit_likelihood(graph: Graph, cfg: FitConfig, rng: random.Random,
         n_solves += 1
         best = current_sol.objective
     trace = [best]
+    plateau = mode is AssortativityMode.STRONG and current_sol is not None \
+        and _on_null_plateau(m, kappa, two_m)
 
     degree = graph.degree
     filtered = 0
@@ -300,6 +316,8 @@ def _fit_likelihood(graph: Graph, cfg: FitConfig, rng: random.Random,
                 if prof + delta <= threshold:
                     filtered += 1
                     continue
+                # modularity change times (2m)^2 / 2, used on the plateau
+                gain = two_m * (d[b] - d[a]) - ki * (kappa[b] - kappa[a] + ki)
                 _apply_move(m, kappa, hm, hk, d, ki, l2, a, b)
                 prof_new = _profile_from_caches(hm, hk)
                 cand = prof_new + offset
@@ -310,16 +328,21 @@ def _fit_likelihood(graph: Graph, cfg: FitConfig, rng: random.Random,
                     accept_sol = solve_constrained(stats, mode, cfg.solver)
                     n_solves += 1
                     cand = accept_sol.objective
-                    ok = cand > best
+                    if plateau and _on_null_plateau(m, kappa, two_m):
+                        ok, cand = gain > 0, best
+                    else:
+                        ok = cand > best
                 if ok:
                     assign[i] = b
                     sizes[a] -= 1
                     sizes[b] += 1
                     prof = prof_new
-                    best = cand
                     current_sol = accept_sol
-                    trace.append(best)
-                    threshold = best - offset
+                    if cand > best:
+                        best = cand
+                        trace.append(best)
+                        threshold = best - offset
+                        plateau = False
                     improved = True
                     a = b
                 else:

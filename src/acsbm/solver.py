@@ -10,11 +10,12 @@ omega_qq >= lambda, omega_rs <= lambda (r != s) and omega_rs >= 0, or in
 strictly concave in every entry that carries edges and the constraints are
 linear, so the optimum is global.
 
-``solve_constrained`` is a primal log-barrier method with damped Newton
-steps.  ``lambda_profile_oracle`` solves the strong-mode problem by a
-completely different route (per-entry closed forms for fixed lambda plus a
-golden-section search over lambda) and exists to cross-check the barrier
-solver in tests.
+``solve_constrained`` solves strong mode exactly: for fixed lambda every
+entry has a closed form, and the optimal lambda follows from a walk over the
+sorted entry ratios m_rs / T_rs, between which the profile's derivative is
+A/lambda - B.  Weak mode uses a primal log-barrier method with damped Newton
+steps.  ``lambda_profile_oracle`` solves strong mode by a golden-section
+search over lambda, to cross-check the exact solve in tests.
 """
 
 from __future__ import annotations
@@ -48,34 +49,33 @@ class AssortativityMode(str, Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Interior-point parameters.
+    """Weak-mode interior-point parameters.
 
-    tol bounds the duality gap of the returned point relative to its
-    objective magnitude (gap <= tol * (1 + |objective|), which is also the
-    scale of its feasibility certificate); barrier_init / barrier_shrink
-    control the path-following schedule of the barrier weight.
+    Strong mode is solved exactly and reads neither field.  tol bounds the
+    duality gap of a weak solution relative to its objective magnitude
+    (gap <= tol * (1 + |objective|), which is also the scale of its
+    feasibility certificate); max_newton_iters caps the weak Newton steps.
     """
 
     tol: float = 1e-8
     max_newton_iters: int = 200
-    barrier_init: float = 1.0
-    barrier_shrink: float = 0.05
 
     def __post_init__(self) -> None:
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if not 0 < self.barrier_shrink < 1:
-            raise ValueError("barrier_shrink must lie in (0, 1)")
 
 
 @dataclass
 class OmegaSolution:
     """Result of a constrained solve.
 
-    lam is the diagonal/off-diagonal threshold (meaningful in strong mode),
-    objective the log-likelihood at omega, kkt_residual the residual
-    certificate (final barrier weight x constraint count, i.e. a duality-gap
-    bound), and iterations the Newton step count.
+    lam is the diagonal/off-diagonal threshold (meaningful in strong mode)
+    and objective the log-likelihood at omega.  A strong solve is exact: its
+    kkt_residual is 0, it always converges, and iterations counts the entry
+    ratios its threshold walk crossed.  A weak solve reports as kkt_residual
+    the final barrier weight x constraint count (a duality-gap bound), as
+    iterations its Newton steps, and converged=False when it hit the
+    iteration cap.
     """
 
     omega: np.ndarray
@@ -98,11 +98,7 @@ def is_feasible(omega, mode: AssortativityMode, tol: float = 0.0) -> bool:
     off = ~np.eye(k, dtype=bool)
     if mode is AssortativityMode.STRONG:
         return bool(np.min(np.diag(w)) >= np.max(w[off]) - tol)
-    for q in range(k):
-        row = np.delete(w[q], q)
-        if w[q, q] < np.max(row) - tol:
-            return False
-    return True
+    return not any(w[q, q] < np.max(np.delete(w[q], q)) - tol for q in range(k))
 
 
 def _trivial_solution(stats: BlockStats, lam: float) -> OmegaSolution:
@@ -118,11 +114,10 @@ def solve_constrained(stats: BlockStats, mode: AssortativityMode,
 
     mode NONE returns the closed-form maximizer directly.  When the
     closed-form maximizer already satisfies the constraints, it is returned
-    with a valid threshold and no iterations.  Otherwise a primal log-barrier
-    Newton method runs on the K(K+1)/2 free entries (plus the threshold in
-    strong mode); entries with m_rs = 0 have closed-form optima (0 off the
-    diagonal, the threshold on it) and are pinned rather than kept strictly
-    interior.
+    with a valid threshold and no iterations.  Otherwise strong mode is
+    solved exactly by a walk over the sorted entry ratios, and weak mode by
+    a primal log-barrier Newton method on the free entries; ``cfg`` applies
+    to weak mode only.
 
     Raises
     ------
@@ -130,7 +125,6 @@ def solve_constrained(stats: BlockStats, mode: AssortativityMode,
         If every m_rs is zero.
     """
     mode = AssortativityMode(mode)
-    cfg = cfg or SolverConfig()
     if stats.two_m <= 0 or all(v == 0 for row in stats.m_block for v in row):
         raise ValueError("all block edge counts are zero")
 
@@ -142,186 +136,66 @@ def solve_constrained(stats: BlockStats, mode: AssortativityMode,
     if k == 1:
         return _trivial_solution(stats, lam=float(what[0, 0]))
 
-    off_mask = ~np.eye(k, dtype=bool)
     if mode is AssortativityMode.STRONG:
-        dmin = float(np.min(np.diag(what)))
-        omax = float(np.max(what[off_mask]))
+        # A block with zero degree sum carries no likelihood terms, so its
+        # diagonal is free: it is left out of the test and set to lambda.
+        dead = [q for q in range(k) if stats.kappa[q] == 0]
+        dmin = float(np.min(np.delete(np.diag(what), dead)))
+        omax = float(np.max(what[~np.eye(k, dtype=bool)]))
         if dmin >= omax:
-            return _trivial_solution(stats, lam=0.5 * (dmin + omax))
-        return _solve_strong_barrier(stats, what, cfg)
+            sol = _trivial_solution(stats, lam=0.5 * (dmin + omax))
+            sol.omega[dead, dead] = sol.lam
+            return sol
+        return _solve_strong_exact(stats, what)
 
     if is_feasible(what, AssortativityMode.WEAK, 0.0):
         return _trivial_solution(stats, lam=0.0)
-    return _solve_weak_barrier(stats, what, cfg)
+    return _solve_weak_barrier(stats, what, cfg or SolverConfig())
 
 
-def _solve_strong_barrier(stats: BlockStats, what: np.ndarray,
-                          cfg: SolverConfig) -> OmegaSolution:
-    # Scalar (list-based) implementation: the Newton system is an arrowhead
-    # matrix of a few dozen entries at most, where plain Python arithmetic
-    # beats numpy's per-call overhead by an order of magnitude, and this
-    # routine sits on the local search's critical path.
-    k = stats.k
-    mb = stats.m_block
+def _solve_strong_exact(stats: BlockStats, what: np.ndarray) -> OmegaSolution:
+    # For fixed lam the profile g(lam) is concave with g'(lam) = A/lam - B,
+    # A and B summing the (m, T) of the entries clamped at lam: diagonals with
+    # ratio below lam (half weight) and edge-carrying off-diagonals with ratio
+    # above it (full weight: the symmetric sum counts them twice).  Walking the
+    # ratios upward, lam* = A/B on the first interval whose right end has g' <= 0.
+    # Infeasibility among blocks with degree keeps some entry clamped: B > 0.
+    ratio = what.tolist()
     kappa = stats.kappa
     two_m = float(stats.two_m)
-
-    diag_free = [q for q in range(k) if mb[q][q] > 0]
-    off_free = [(r, s) for r in range(k) for s in range(r + 1, k) if mb[r][s] > 0]
-    n_pinned_off = k * (k - 1) // 2 - len(off_free)
-    # Diagonal entries without edges ride exactly at lambda; their null-model
-    # penalties turn into a linear cost on lambda.
-    t_pinned_diag = sum(kappa[q] * kappa[q] / two_m
-                        for q in range(k) if mb[q][q] == 0)
-
-    md = [float(mb[q][q]) for q in diag_free]
-    td = [kappa[q] * kappa[q] / two_m for q in diag_free]
-    mo = [float(mb[r][s]) for r, s in off_free]
-    to = [kappa[r] * kappa[s] / two_m for r, s in off_free]
-    nd, no = len(diag_free), len(off_free)
-    n_con = nd + 2 * no + n_pinned_off
-
-    a = float(np.mean(what)) + 1.0
-    x = [1.5 * a] * nd
-    y = [0.5 * a] * no
-    lam = a
-
-    log = math.log
-
-    def barrier_value(x, y, lam, mu):
-        if n_pinned_off and lam <= 0:
-            return -math.inf
-        val = -0.5 * t_pinned_diag * lam
-        if n_pinned_off:
-            val += mu * n_pinned_off * log(lam)
-        for i in range(nd):
-            xi = x[i]
-            s = xi - lam
-            if s <= 0 or xi <= 0:
-                return -math.inf
-            val += 0.5 * (md[i] * log(xi) - td[i] * xi) + mu * log(s)
-        for j in range(no):
-            yj = y[j]
-            s = lam - yj
-            if s <= 0 or yj <= 0:
-                return -math.inf
-            val += mo[j] * log(yj) - to[j] * yj + mu * (log(s) + log(yj))
-        return val
-
-    def objective_part(x, y, lam):
-        val = -0.5 * t_pinned_diag * lam
-        for i in range(nd):
-            val += 0.5 * (md[i] * log(x[i]) - td[i] * x[i])
-        for j in range(no):
-            val += mo[j] * log(y[j]) - to[j] * y[j]
-        return val
-
-    gx = [0.0] * nd
-    dx = [0.0] * nd
-    cx = [0.0] * nd
-    gy = [0.0] * no
-    dy = [0.0] * no
-    cy = [0.0] * no
-
-    mu = cfg.barrier_init
-    iters = 0
-    converged = True
-    grad_inf = math.inf
-    while True:
-        # Newton steps at this barrier weight; the Hessian is an arrowhead
-        # (diagonal plus the lambda row/column), solved by Schur complement.
-        for _ in range(cfg.max_newton_iters):
-            glam = -0.5 * t_pinned_diag
-            hlam = 0.0
-            if n_pinned_off:
-                glam += mu * n_pinned_off / lam
-                hlam -= mu * n_pinned_off / (lam * lam)
-            grad_inf = 0.0
-            for i in range(nd):
-                xi = x[i]
-                s = xi - lam
-                bs = mu / s
-                ci = bs / s
-                gi = 0.5 * (md[i] / xi - td[i]) + bs
-                gx[i] = gi
-                cx[i] = ci
-                dx[i] = -0.5 * md[i] / (xi * xi) - ci
-                glam -= bs
-                hlam -= ci
-                if abs(gi) > grad_inf:
-                    grad_inf = abs(gi)
-            for j in range(no):
-                yj = y[j]
-                s = lam - yj
-                bs = mu / s
-                cj = bs / s
-                by = mu / yj
-                gj = mo[j] / yj - to[j] + by - bs
-                gy[j] = gj
-                cy[j] = cj
-                dy[j] = -(mo[j] + mu) / (yj * yj) - cj
-                glam += bs
-                hlam -= cj
-                if abs(gj) > grad_inf:
-                    grad_inf = abs(gj)
-            if abs(glam) > grad_inf:
-                grad_inf = abs(glam)
-
-            num = 0.0
-            cc = 0.0
-            for i in range(nd):
-                num += cx[i] * gx[i] / dx[i]
-                cc += cx[i] * cx[i] / dx[i]
-            for j in range(no):
-                num += cy[j] * gy[j] / dy[j]
-                cc += cy[j] * cy[j] / dy[j]
-            denom = hlam - cc
-            step_lam = (-glam + num) / denom
-            step_x = [(-gx[i] - cx[i] * step_lam) / dx[i] for i in range(nd)]
-            step_y = [(-gy[j] - cy[j] * step_lam) / dy[j] for j in range(no)]
-
-            dec2 = glam * step_lam
-            for i in range(nd):
-                dec2 += gx[i] * step_x[i]
-            for j in range(no):
-                dec2 += gy[j] * step_y[j]
-            if dec2 <= 1e-2 * mu or grad_inf == 0.0:
-                break
-
-            b0 = barrier_value(x, y, lam, mu)
-            alpha = 1.0
-            for _ in range(60):
-                xn = [x[i] + alpha * step_x[i] for i in range(nd)]
-                yn = [y[j] + alpha * step_y[j] for j in range(no)]
-                ln = lam + alpha * step_lam
-                if barrier_value(xn, yn, ln, mu) >= b0 + 0.25 * alpha * dec2:
-                    break
-                alpha *= 0.5
-            else:
-                break
-            x, y, lam = xn, yn, ln
-            iters += 1
-            if iters >= cfg.max_newton_iters:
-                converged = False
-                break
-        gap_target = cfg.tol * (1.0 + abs(objective_part(x, y, lam)))
-        if not converged or n_con * mu <= gap_target:
+    a = b = 0.0
+    events = []  # (ratio, change of A, change of B) once lam passes ratio
+    for r, row in enumerate(stats.m_block):
+        for s in range(r, stats.k):
+            t = kappa[r] * kappa[s] / two_m
+            if t == 0:
+                continue
+            if r == s:
+                events.append((ratio[r][r], 0.5 * row[r], 0.5 * t))
+            elif row[s] > 0:
+                a += row[s]
+                b += t
+                events.append((ratio[r][s], -row[s], -t))
+    events.sort()
+    crossed = 0
+    for rho, da, db in events:
+        if a <= b * rho:
             break
-        mu *= cfg.barrier_shrink
+        a += da
+        b += db
+        crossed += 1
+    lam = a / b
 
-    omega = np.zeros((k, k))
-    for idx, q in enumerate(diag_free):
-        omega[q, q] = x[idx]
-    for q in range(k):
-        if mb[q][q] == 0:
-            omega[q, q] = lam
-    for idx, (r, s) in enumerate(off_free):
-        omega[r, s] = omega[s, r] = y[idx]
-
-    return OmegaSolution(omega=omega, lam=float(lam),
+    omega = np.minimum(what, lam)
+    np.fill_diagonal(omega, np.maximum(np.diag(what), lam))
+    return OmegaSolution(omega=omega, lam=lam,
                          objective=log_likelihood(stats, omega),
-                         kkt_residual=max(n_con * mu, grad_inf * mu),
-                         iterations=iters, converged=converged)
+                         kkt_residual=0.0, iterations=crossed)
+
+
+# Path-following schedule of the weak barrier weight.
+_BARRIER_INIT = 1.0
+_BARRIER_SHRINK = 0.05
 
 
 def _solve_weak_barrier(stats: BlockStats, what: np.ndarray,
@@ -391,7 +265,7 @@ def _solve_weak_barrier(stats: BlockStats, what: np.ndarray,
             val += float(np.sum(mo * np.log(yo) - to * yo))
         return val
 
-    mu = cfg.barrier_init
+    mu = _BARRIER_INIT
     iters = 0
     converged = True
     grad_inf = math.inf
@@ -451,7 +325,7 @@ def _solve_weak_barrier(stats: BlockStats, what: np.ndarray,
         gap_target = cfg.tol * (1.0 + abs(objective_part(z)))
         if not converged or n_con * mu <= gap_target:
             break
-        mu *= cfg.barrier_shrink
+        mu *= _BARRIER_SHRINK
 
     omega = np.zeros((k, k))
     for q, i in diag_ix.items():

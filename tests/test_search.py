@@ -85,6 +85,21 @@ class TestFit:
         result = fit(g, FitConfig(k=3, seed=0))
         assert sorted(result.partition.block_sizes()) == [1, 1, 1]
 
+    def test_strong_search_leaves_null_plateau(self):
+        # most random halves of two joined 5-cliques are disassortative, and
+        # there the strong optimum is Omega = 1 with log-likelihood -m for
+        # every partition; the search must still walk off that plateau
+        g = Graph(10, [(i, j, 1) for c in (0, 5) for i in range(c, c + 5)
+                       for j in range(i + 1, c + 5)] + [(4, 5, 1)])
+        results = [fit(g, FitConfig(k=2, mode=AssortativityMode.STRONG,
+                                    seed=seed)) for seed in range(20)]
+        on_plateau = [r.trace[0] == pytest.approx(-g.total_weight)
+                      for r in results]
+        assert sum(on_plateau) >= 10
+        for r in results:
+            assert nmi(r.partition, [0] * 5 + [1] * 5) == pytest.approx(1.0)
+            assert all(b > a for a, b in zip(r.trace, r.trace[1:]))
+
     def test_trace_strictly_increasing(self):
         rng = random.Random(71)
         for trial in range(10):

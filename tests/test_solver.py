@@ -154,14 +154,35 @@ class TestSolveConstrained:
 
     def test_kkt_residual_within_tolerance(self):
         cfg = SolverConfig(tol=1e-8)
-        sol = solve_constrained(BINDING_STATS, AssortativityMode.STRONG, cfg)
+        sol = solve_constrained(BINDING_STATS, AssortativityMode.WEAK, cfg)
         assert sol.kkt_residual <= 1e-6
 
     def test_unconverged_flagged_but_feasible(self):
         cfg = SolverConfig(max_newton_iters=2)
-        sol = solve_constrained(BINDING_STATS, AssortativityMode.STRONG, cfg)
+        sol = solve_constrained(BINDING_STATS, AssortativityMode.WEAK, cfg)
         assert not sol.converged
-        assert is_feasible(sol.omega, AssortativityMode.STRONG, 1e-9)
+        assert is_feasible(sol.omega, AssortativityMode.WEAK, 1e-9)
+
+    def test_strong_solve_is_exact(self):
+        # the threshold walk has no tolerance: the result is feasible with
+        # no slack, matches the golden-section oracle to rounding, and no
+        # threshold a relative 1e-6 either side of lambda* does better
+        rng = random.Random(59)
+        binding = 0
+        while binding < 200:
+            st = random_block_stats(rng, rng.choice([2, 3, 4, 6, 8]))
+            if is_feasible(omega_mle(st), AssortativityMode.STRONG):
+                continue
+            binding += 1
+            sol = solve_constrained(st, AssortativityMode.STRONG)
+            assert is_feasible(sol.omega, AssortativityMode.STRONG, 0.0)
+            assert sol.kkt_residual == 0.0 and sol.converged
+            ref = lambda_profile_oracle(st)
+            assert sol.objective >= ref.objective - 1e-12 * abs(ref.objective)
+            lam = sol.lam
+            near = lambda_profile_oracle(
+                st, lambdas=[lam * (1 - 1e-6), lam, lam * (1 + 1e-6)])
+            assert near.lam == lam
 
     def test_all_zero_stats_rejected(self):
         st = BlockStats(2, [[0, 0], [0, 0]], [0, 0], 0)
@@ -181,6 +202,31 @@ class TestSolveConstrained:
         ref = lambda_profile_oracle(st)
         assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
         assert is_feasible(sol.omega, AssortativityMode.STRONG, 1e-6)
+
+    @pytest.mark.parametrize("st", [
+        BlockStats(3, [[194, 2, 0], [2, 194, 0], [0, 0, 0]], [196, 196, 0], 392),
+        BlockStats(4, [[178, 6, 4, 0], [6, 136, 5, 0], [4, 5, 232, 0],
+                       [0, 0, 0, 0]], [188, 147, 241, 0], 576),
+    ])
+    def test_zero_degree_block_beside_assortative_blocks(self, st):
+        # only the zero-degree diagonal violates the constraint, so the
+        # optimum is the closed form with that diagonal lifted to lambda
+        sol = solve_constrained(st, AssortativityMode.STRONG)
+        assert is_feasible(sol.omega, AssortativityMode.STRONG, 0.0)
+        assert sol.objective == lambda_profile_oracle(st).objective
+        assert sol.objective == log_likelihood(st, omega_mle(st))
+
+    def test_zero_degree_block_random(self):
+        rng = random.Random(61)
+        for _ in range(200):
+            live = random_block_stats(rng, rng.choice([1, 2, 3, 5, 7]))
+            k = live.k + 1
+            st = BlockStats(k, [row + [0] for row in live.m_block] + [[0] * k],
+                            live.kappa + [0], live.two_m)
+            sol = solve_constrained(st, AssortativityMode.STRONG)
+            assert is_feasible(sol.omega, AssortativityMode.STRONG, 0.0)
+            ref = lambda_profile_oracle(st)
+            assert sol.objective >= ref.objective - 1e-12 * abs(ref.objective)
 
     def test_larger_block_count(self):
         rng = random.Random(53)
