@@ -347,6 +347,22 @@ def edges_into_blocks(graph: Graph, partition: Partition, i: int) -> list[int]:
     return d
 
 
+def _check_move(partition: Partition, i: int, b: int) -> int:
+    """Source block of node i, after checking that moving i to b is legal.
+
+    Raises ValueError if b is i's block or out of range, and
+    EmptyBlockMoveError if the move would leave the source block empty.
+    """
+    a = partition.assign[i]
+    if b == a:
+        raise ValueError(f"node {i} already in block {b}")
+    if not 0 <= b < partition.k:
+        raise ValueError(f"block id {b} out of range [0, {partition.k})")
+    if partition.block_sizes()[a] == 1:
+        raise EmptyBlockMoveError(f"moving node {i} would empty block {a}")
+    return a
+
+
 def _relocate_stats(stats: BlockStats, d: list[int], k_i: int, self_a: int,
                     a: int, b: int) -> None:
     """Apply the move of a node (degree k_i, diagonal A_ii = self_a, block
@@ -381,15 +397,9 @@ def apply_relocation(stats: BlockStats, graph: Graph, partition: Partition,
     EmptyBlockMoveError
         If the move would leave block ``partition.assign[i]`` empty.
     ValueError
-        If b equals the current block of i.
+        If b equals the current block of i or is out of range.
     """
-    a = partition.assign[i]
-    if b == a:
-        raise ValueError(f"node {i} already in block {b}")
-    if not 0 <= b < partition.k:
-        raise ValueError(f"block id {b} out of range [0, {partition.k})")
-    if partition.block_sizes()[a] == 1:
-        raise EmptyBlockMoveError(f"moving node {i} would empty block {a}")
+    a = _check_move(partition, i, b)
     out = stats.copy()
     d = edges_into_blocks(graph, partition, i)
     _relocate_stats(out, d, graph.degree[i], graph.self_adjacency(i), a, b)

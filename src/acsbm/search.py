@@ -1,22 +1,30 @@
-"""Relocation local search for (constrained) likelihood maximization.
+"""Relocation local search for (constrained) likelihood or modularity.
 
-The search repeatedly scans single-node relocations.  Each candidate is
-first scored with the *unconstrained* profile objective, updated
-incrementally in O(K + deg(i)); only candidates that would improve the
-current value, yet whose closed-form block parameters violate the
-requested assortativity constraints, pay for a constrained solve.  Since
-the constrained optimum never exceeds the unconstrained one, this filter
-never discards an improving constrained move.
+One sweep loop serves both objectives.  It repeatedly scans single-node
+relocations; a tried move updates the block statistics in place through
+``core._relocate_stats``, and a rejected one is undone the same way.
 
-Internally all comparisons happen on the full-likelihood scale: profile
-values differ from it by the partition-independent constant
-``profile_offset``, which makes unconstrained candidate scores directly
-comparable with constrained incumbents.
+Likelihood objective: each candidate is first scored with the
+*unconstrained* profile objective, updated incrementally in O(K + deg(i))
+from cached x*log(x) values of the block counts; only candidates that would
+improve the current value, yet whose closed-form block parameters violate
+the requested assortativity constraints, pay for a constrained solve.
+Since the constrained optimum never exceeds the unconstrained one, this
+filter never discards an improving constrained move.  All comparisons
+happen on the full-likelihood scale: profile values differ from it by the
+partition-independent constant ``profile_offset``, which makes
+unconstrained candidate scores directly comparable with constrained
+incumbents.
+
+Modularity objective: a candidate is taken iff it raises Q, decided
+exactly on integers by 2m(d_b - d_a) - k_i(kappa_b - kappa_a + k_i) > 0
+(the change of Q times (2m)^2 / 2).
 
 In strong mode every partition whose ratios m_rs/T_rs are at most 1 on the
 diagonal and at least 1 off it has the null optimum Omega = 1, likelihood -m.
-On that plateau the search also takes moves along it that raise modularity
-(which is <= 0 there) until a neighbour off the plateau scores higher.
+On that plateau the likelihood search also takes moves along it that raise
+modularity (which is <= 0 there), by the same integer test, until a
+neighbour off the plateau scores higher.
 """
 
 from __future__ import annotations
@@ -29,8 +37,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (BlockStats, EmptyBlockMoveError, Graph, Partition,
-                   block_stats, edges_into_blocks)
+from .core import (BlockStats, Graph, Partition, _check_move,
+                   _relocate_stats, block_stats, edges_into_blocks)
 from .likelihood import (log_likelihood, modularity, omega_mle,
                          profile_log_likelihood, profile_offset)
 from .solver import AssortativityMode, OmegaSolution, SolverConfig, \
@@ -55,10 +63,10 @@ OBJECTIVE_MODULARITY = "modularity"
 class FitConfig:
     """Inputs of a single search run.
 
-    scan_order is "shuffled" (reshuffled every sweep, seeded) or "fixed"
-    (ascending node ids).  objective "modularity" switches the search to the
-    modularity score with the same relocation mechanics; the fixed block
-    count is kept but blocks may become empty.
+    Each sweep visits the nodes in an order reshuffled from ``seed``.
+    objective "modularity" switches the search to the modularity score with
+    the same relocation mechanics; it takes no assortativity mode, and the
+    fixed block count is kept but blocks may become empty.
     """
 
     k: int
@@ -66,17 +74,18 @@ class FitConfig:
     seed: int = 0
     max_sweeps: int = 1000
     solver: SolverConfig = field(default_factory=SolverConfig)
-    scan_order: str = "shuffled"
     objective: str = OBJECTIVE_LIKELIHOOD
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.scan_order not in ("shuffled", "fixed"):
-            raise ValueError(f"unknown scan order {self.scan_order!r}")
         if self.objective not in (OBJECTIVE_LIKELIHOOD, OBJECTIVE_MODULARITY):
             raise ValueError(f"unknown objective {self.objective!r}")
         object.__setattr__(self, "mode", AssortativityMode(self.mode))
+        if self.objective == OBJECTIVE_MODULARITY \
+                and self.mode is not AssortativityMode.NONE:
+            raise ValueError("the modularity objective takes no "
+                             f"assortativity mode, got {self.mode.value!r}")
 
 
 @dataclass
@@ -153,34 +162,13 @@ def _delta_profile(m, kappa, hm, hk, d, ki, l2, a, b) -> float:
             - (_h(kappa[b] + ki) - hk[b]))
 
 
-def _apply_move(m, kappa, hm, hk, d, ki, l2, a, b) -> None:
-    """Update integer stats and their x*log(x) caches for a move a -> b."""
-    ma, mb = m[a], m[b]
-    hma, hmb = hm[a], hm[b]
-    for r in range(len(kappa)):
-        if r == a or r == b:
-            continue
-        dr = d[r]
-        if dr:
-            v = ma[r] - dr
-            ma[r] = m[r][a] = v
-            hma[r] = hm[r][a] = _h(v)
-            v = mb[r] + dr
-            mb[r] = m[r][b] = v
-            hmb[r] = hm[r][b] = _h(v)
-    v = ma[a] - 2 * d[a] - l2
-    ma[a] = v
-    hma[a] = _h(v)
-    v = mb[b] + 2 * d[b] + l2
-    mb[b] = v
-    hmb[b] = _h(v)
-    v = ma[b] + d[a] - d[b]
-    ma[b] = mb[a] = v
-    hma[b] = hmb[a] = _h(v)
-    kappa[a] -= ki
-    kappa[b] += ki
-    hk[a] = _h(kappa[a])
-    hk[b] = _h(kappa[b])
+def _refresh_caches(m, kappa, hm, hk, a, b) -> None:
+    """Recompute the x*log(x) caches of rows (and columns) a and b."""
+    for r in (a, b):
+        row, hrow = m[r], hm[r]
+        for s in range(len(row)):
+            hrow[s] = hm[s][r] = _h(row[s])
+        hk[r] = _h(kappa[r])
 
 
 def delta_relocation(stats: BlockStats, graph: Graph, partition: Partition,
@@ -194,12 +182,10 @@ def delta_relocation(stats: BlockStats, graph: Graph, partition: Partition,
     ------
     EmptyBlockMoveError
         If the move would empty the source block.
+    ValueError
+        If b equals the current block of i or is out of range.
     """
-    a = partition.assign[i]
-    if b == a:
-        raise ValueError(f"node {i} already in block {b}")
-    if partition.block_sizes()[a] == 1:
-        raise EmptyBlockMoveError(f"moving node {i} would empty block {a}")
+    a = _check_move(partition, i, b)
     d = edges_into_blocks(graph, partition, i)
     hm = [[_h(v) for v in row] for row in stats.m_block]
     hk = [_h(v) for v in stats.kappa]
@@ -248,38 +234,30 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
     over all (node, block) candidates, applying first improvements, until a
     full sweep yields none.
     """
-    n = graph.n
-    if cfg.k > n:
-        raise ValueError(f"k={cfg.k} exceeds node count {n}")
+    n, k, mode = graph.n, cfg.k, cfg.mode
+    if k > n:
+        raise ValueError(f"k={k} exceeds node count {n}")
     if graph.total_weight <= 0:
         raise ValueError("graph has no edges")
 
     rng = random.Random(cfg.seed)
-    assign = _random_partition(n, cfg.k, rng)
-    if cfg.objective == OBJECTIVE_MODULARITY:
-        return _fit_modularity(graph, cfg, rng, assign)
-    return _fit_likelihood(graph, cfg, rng, assign)
-
-
-def _fit_likelihood(graph: Graph, cfg: FitConfig, rng: random.Random,
-                    assign: list[int]) -> FitResult:
-    n, k = graph.n, cfg.k
-    mode = cfg.mode
-    stats = block_stats(graph, Partition(k, assign))
-    m, kappa = stats.m_block, stats.kappa
+    assign = _random_partition(n, k, rng)
+    by_q = cfg.objective == OBJECTIVE_MODULARITY
+    partition = Partition(k, assign)
+    stats = block_stats(graph, partition)
+    m, kappa, two_m = stats.m_block, stats.kappa, stats.two_m
     hm = [[_h(v) for v in row] for row in m]
     hk = [_h(v) for v in kappa]
-    sizes = [0] * k
-    for b in assign:
-        sizes[b] += 1
+    sizes = partition.block_sizes()
 
-    offset = profile_offset(stats.two_m)
+    offset = profile_offset(two_m)
     prof = _profile_from_caches(hm, hk)
-
-    two_m = stats.two_m
     n_solves = 0
     current_sol: OmegaSolution | None = None  # None means omega_mle is optimal
-    if mode is AssortativityMode.NONE or is_feasible(omega_mle(stats), mode, 0.0):
+    if by_q:
+        best = modularity(stats)
+    elif mode is AssortativityMode.NONE \
+            or is_feasible(omega_mle(stats), mode, 0.0):
         best = prof + offset
     else:
         current_sol = solve_constrained(stats, mode, cfg.solver)
@@ -297,32 +275,37 @@ def _fit_likelihood(graph: Graph, cfg: FitConfig, rng: random.Random,
     while improved and sweeps < cfg.max_sweeps:
         improved = False
         sweeps += 1
-        if cfg.scan_order == "shuffled":
-            rng.shuffle(order)
+        rng.shuffle(order)
         for i in order:
             a = assign[i]
-            if sizes[a] == 1:
+            if sizes[a] == 1 and not by_q:
                 continue
             d = [0] * k
             for j, w in graph.neighbors(i):
                 d[assign[j]] += w
             ki = degree[i]
             l2 = graph.self_adjacency(i)
-            threshold = best - offset
             for b in range(k):
                 if b == a:
                     continue
-                delta = _delta_profile(m, kappa, hm, hk, d, ki, l2, a, b)
-                if prof + delta <= threshold:
+                if not by_q and prof + _delta_profile(
+                        m, kappa, hm, hk, d, ki, l2, a, b) <= best - offset:
                     filtered += 1
                     continue
-                # modularity change times (2m)^2 / 2, used on the plateau
+                # modularity change times (2m)^2 / 2
                 gain = two_m * (d[b] - d[a]) - ki * (kappa[b] - kappa[a] + ki)
-                _apply_move(m, kappa, hm, hk, d, ki, l2, a, b)
-                prof_new = _profile_from_caches(hm, hk)
-                cand = prof_new + offset
+                if by_q and gain <= 0:
+                    filtered += 1
+                    continue
+                _relocate_stats(stats, d, ki, l2, a, b)
                 accept_sol: OmegaSolution | None = None
-                ok = cand > best
+                if by_q:
+                    ok, cand = True, modularity(stats)
+                else:
+                    _refresh_caches(m, kappa, hm, hk, a, b)
+                    prof_new = _profile_from_caches(hm, hk)
+                    cand = prof_new + offset
+                    ok = cand > best
                 if ok and mode is not AssortativityMode.NONE \
                         and not is_feasible(omega_mle(stats), mode, 0.0):
                     accept_sol = solve_constrained(stats, mode, cfg.solver)
@@ -336,17 +319,18 @@ def _fit_likelihood(graph: Graph, cfg: FitConfig, rng: random.Random,
                     assign[i] = b
                     sizes[a] -= 1
                     sizes[b] += 1
-                    prof = prof_new
+                    if not by_q:
+                        prof = prof_new
                     current_sol = accept_sol
                     if cand > best:
                         best = cand
                         trace.append(best)
-                        threshold = best - offset
                         plateau = False
                     improved = True
                     a = b
                 else:
-                    _apply_move(m, kappa, hm, hk, d, ki, l2, b, a)
+                    _relocate_stats(stats, d, ki, l2, b, a)
+                    _refresh_caches(m, kappa, hm, hk, a, b)
                     if accept_sol is None:
                         filtered += 1
 
@@ -356,10 +340,10 @@ def _fit_likelihood(graph: Graph, cfg: FitConfig, rng: random.Random,
     else:
         omega, lam = current_sol.omega, current_sol.lam
     return FitResult(
-        partition=Partition(k, assign),
+        partition=partition,
         omega=omega,
         lam=lam,
-        log_likelihood=best,
+        log_likelihood=log_likelihood(stats, omega) if by_q else best,
         modularity=modularity(stats),
         trace=trace,
         sweeps=sweeps,
@@ -367,80 +351,6 @@ def _fit_likelihood(graph: Graph, cfg: FitConfig, rng: random.Random,
         filtered_moves=filtered,
         seed=cfg.seed,
         mode=mode,
-        objective=cfg.objective,
-    )
-
-
-def _fit_modularity(graph: Graph, cfg: FitConfig, rng: random.Random,
-                    assign: list[int]) -> FitResult:
-    n, k = graph.n, cfg.k
-    stats = block_stats(graph, Partition(k, assign))
-    m, kappa = stats.m_block, stats.kappa
-    hm = [[_h(v) for v in row] for row in m]
-    hk = [_h(v) for v in kappa]
-    sizes = [0] * k
-    for b in assign:
-        sizes[b] += 1
-    two_m = float(stats.two_m)
-
-    def q_value() -> float:
-        return sum(m[r][r] for r in range(k)) / two_m \
-            - sum((kr / two_m) ** 2 for kr in kappa)
-
-    best = q_value()
-    trace = [best]
-    degree = graph.degree
-    filtered = 0
-    sweeps = 0
-    order = list(range(n))
-    improved = True
-    while improved and sweeps < cfg.max_sweeps:
-        improved = False
-        sweeps += 1
-        if cfg.scan_order == "shuffled":
-            rng.shuffle(order)
-        for i in order:
-            a = assign[i]
-            d = [0] * k
-            for j, w in graph.neighbors(i):
-                d[assign[j]] += w
-            ki = degree[i]
-            l2 = graph.self_adjacency(i)
-            for b in range(k):
-                if b == a:
-                    continue
-                delta = (2.0 * (d[b] - d[a])) / two_m \
-                    - (2.0 * ki * (kappa[b] - kappa[a]) + 2.0 * ki * ki) / (two_m * two_m)
-                if delta <= 0.0:
-                    filtered += 1
-                    continue
-                _apply_move(m, kappa, hm, hk, d, ki, l2, a, b)
-                cand = q_value()
-                if cand > best:
-                    assign[i] = b
-                    sizes[a] -= 1
-                    sizes[b] += 1
-                    best = cand
-                    trace.append(best)
-                    improved = True
-                    a = b
-                else:
-                    _apply_move(m, kappa, hm, hk, d, ki, l2, b, a)
-                    filtered += 1
-
-    omega = omega_mle(stats)
-    return FitResult(
-        partition=Partition(k, assign),
-        omega=omega,
-        lam=0.0,
-        log_likelihood=log_likelihood(stats, omega),
-        modularity=best,
-        trace=trace,
-        sweeps=sweeps,
-        constrained_solves=0,
-        filtered_moves=filtered,
-        seed=cfg.seed,
-        mode=AssortativityMode.NONE,
         objective=cfg.objective,
     )
 

@@ -79,7 +79,7 @@ def test_criterion_1_solver_oracle_equivalence():
         if rel > 1e-6:
             report(1, False, f"objective mismatch {rel:.2e} on {st.m_block}")
         if not is_feasible(sol.omega, AssortativityMode.STRONG, 1e-6):
-            report(1, False, f"barrier solution infeasible on {st.m_block}")
+            report(1, False, f"exact strong solution infeasible on {st.m_block}")
         if not is_feasible(ref.omega, AssortativityMode.STRONG, 1e-6):
             report(1, False, f"oracle solution infeasible on {st.m_block}")
     report(1, True, f"200 instances, worst relative gap {worst_rel:.2e}")

@@ -170,5 +170,6 @@ class TestApplyRelocation:
 
     def test_same_block_rejected(self, triangle_pair, triangle_split):
         st = block_stats(triangle_pair, triangle_split)
-        with pytest.raises(ValueError):
-            apply_relocation(st, triangle_pair, triangle_split, 0, 0)
+        for b in (0, -1, 2):
+            with pytest.raises(ValueError):
+                apply_relocation(st, triangle_pair, triangle_split, 0, b)

@@ -53,6 +53,13 @@ class TestDeltaRelocation:
         with pytest.raises(EmptyBlockMoveError):
             delta_relocation(block_stats(g, p), g, p, 2, 0)
 
+    def test_same_block_and_out_of_range_rejected(self, triangle_pair,
+                                                  triangle_split):
+        st = block_stats(triangle_pair, triangle_split)
+        for b in (0, -1, 2):
+            with pytest.raises(ValueError):
+                delta_relocation(st, triangle_pair, triangle_split, 0, b)
+
 
 class TestFit:
     def test_triangle_pair_strong_reaches_global_optimum(self, triangle_pair):
@@ -136,10 +143,6 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(Graph(3, []), FitConfig(k=2, seed=0))
 
-    def test_fixed_scan_order(self, triangle_pair):
-        result = fit(triangle_pair, FitConfig(k=2, seed=5, scan_order="fixed"))
-        assert all(b > a for a, b in zip(result.trace, result.trace[1:]))
-
     def test_max_sweeps_caps_search(self):
         rng = random.Random(101)
         g = random_graph(rng, 30, p=0.3)
@@ -149,6 +152,39 @@ class TestFit:
     def test_mode_accepts_strings(self, triangle_pair):
         result = fit(triangle_pair, FitConfig(k=2, mode="strong", seed=3))
         assert result.mode is AssortativityMode.STRONG
+
+    # (partition, sweeps, filtered_moves, constrained_solves, len(trace)) of
+    # k=4 fits on one random graph: a change that keeps the search path must
+    # reproduce them exactly
+    PINNED = {
+        ("dc-sbm", 0): ("1300131021121102", 2, 92, 0, 12),
+        ("dc-sbm", 1): ("1020312012103301", 5, 229, 0, 16),
+        ("dc-sbm", 2): ("0000102223330030", 2, 89, 0, 10),
+        ("dc-sbm", 3): ("1121021313333331", 2, 83, 0, 12),
+        ("strong", 0): ("1333231201121120", 3, 125, 26, 15),
+        ("strong", 1): ("2020321011103302", 3, 115, 32, 17),
+        ("strong", 2): ("0000102223330030", 2, 82, 16, 10),
+        ("strong", 3): ("1121021313333331", 2, 83, 4, 11),
+        ("weak", 0): ("1303301021201102", 3, 113, 37, 17),
+        ("weak", 1): ("2020321011103302", 3, 117, 26, 17),
+        ("weak", 2): ("0000102223330030", 2, 84, 13, 10),
+        ("weak", 3): ("1121021313333331", 2, 83, 4, 11),
+        ("modularity", 0): ("3333031211121123", 3, 135, 0, 17),
+        ("modularity", 1): ("3030231011103303", 3, 137, 0, 15),
+        ("modularity", 2): ("0000302122212210", 3, 138, 0, 13),
+        ("modularity", 3): ("2121023333333332", 2, 85, 0, 17),
+    }
+
+    def test_search_path_pinned(self):
+        g = random_graph(random.Random(1), 16, p=0.2, loops=True)
+        models = {"dc-sbm": {}, "strong": {"mode": "strong"},
+                  "weak": {"mode": "weak"},
+                  "modularity": {"objective": "modularity"}}
+        for (model, seed), expected in self.PINNED.items():
+            r = fit(g, FitConfig(k=4, seed=seed, **models[model]))
+            got = ("".join(map(str, r.partition.assign)), r.sweeps,
+                   r.filtered_moves, r.constrained_solves, len(r.trace))
+            assert got == expected, (model, seed)
 
 
 class TestModularityObjective:
@@ -175,6 +211,13 @@ class TestModularityObjective:
         assert best.log_likelihood == pytest.approx(
             log_likelihood(st, best.omega), abs=1e-9)
         assert best.modularity == pytest.approx(modularity(st), abs=1e-12)
+
+    def test_assortativity_mode_rejected(self):
+        for mode in ("strong", "weak"):
+            with pytest.raises(ValueError):
+                FitConfig(k=2, mode=mode, objective="modularity")
+        assert FitConfig(k=2, mode="none", objective="modularity").mode \
+            is AssortativityMode.NONE
 
 
 class TestMultiStart:
