@@ -358,7 +358,7 @@ def _check_move(partition: Partition, i: int, b: int) -> int:
         raise ValueError(f"node {i} already in block {b}")
     if not 0 <= b < partition.k:
         raise ValueError(f"block id {b} out of range [0, {partition.k})")
-    if partition.block_sizes()[a] == 1:
+    if partition.assign.count(a) == 1:
         raise EmptyBlockMoveError(f"moving node {i} would empty block {a}")
     return a
 

@@ -41,8 +41,9 @@ from .core import (BlockStats, Graph, Partition, _check_move,
                    _relocate_stats, block_stats, edges_into_blocks)
 from .likelihood import (log_likelihood, modularity, omega_mle,
                          profile_log_likelihood, profile_offset)
+# is_feasible is unused here; it stays a module attribute for the benchmark.
 from .solver import AssortativityMode, OmegaSolution, SolverConfig, \
-    is_feasible, solve_constrained
+    _mle_feasible, is_feasible, solve_constrained  # noqa: F401
 
 __all__ = [
     "FitConfig",
@@ -256,8 +257,7 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
     current_sol: OmegaSolution | None = None  # None means omega_mle is optimal
     if by_q:
         best = modularity(stats)
-    elif mode is AssortativityMode.NONE \
-            or is_feasible(omega_mle(stats), mode, 0.0):
+    elif _mle_feasible(stats, mode):
         best = prof + offset
     else:
         current_sol = solve_constrained(stats, mode, cfg.solver)
@@ -306,8 +306,7 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
                     prof_new = _profile_from_caches(hm, hk)
                     cand = prof_new + offset
                     ok = cand > best
-                if ok and mode is not AssortativityMode.NONE \
-                        and not is_feasible(omega_mle(stats), mode, 0.0):
+                if ok and not _mle_feasible(stats, mode):
                     accept_sol = solve_constrained(stats, mode, cfg.solver)
                     n_solves += 1
                     cand = accept_sol.objective

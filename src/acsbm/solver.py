@@ -13,9 +13,13 @@ linear, so the optimum is global.
 ``solve_constrained`` solves strong mode exactly: for fixed lambda every
 entry has a closed form, and the optimal lambda follows from a walk over the
 sorted entry ratios m_rs / T_rs, between which the profile's derivative is
-A/lambda - B.  Weak mode uses a primal log-barrier method with damped Newton
-steps.  ``lambda_profile_oracle`` solves strong mode by a golden-section
-search over lambda, to cross-check the exact solve in tests.
+A/lambda - B.  The strong path (closed-form test, walk, clamp, objective)
+runs on Python lists, whose ratios equal ``omega_mle``'s bit for bit, and
+uses numpy only to sum the objective and wrap the returned omega: at a fit's
+block counts numpy's per-call overhead dominates.  The search tests each candidate's closed form
+on the same lists.  Weak mode uses a primal log-barrier method with damped
+Newton steps.  ``lambda_profile_oracle`` solves strong mode by a
+golden-section search over lambda, to cross-check the exact solve in tests.
 """
 
 from __future__ import annotations
@@ -101,11 +105,27 @@ def is_feasible(omega, mode: AssortativityMode, tol: float = 0.0) -> bool:
     return not any(w[q, q] < np.max(np.delete(w[q], q)) - tol for q in range(k))
 
 
-def _trivial_solution(stats: BlockStats, lam: float) -> OmegaSolution:
-    w = omega_mle(stats)
-    return OmegaSolution(omega=w, lam=lam,
-                         objective=log_likelihood(stats, w),
-                         kkt_residual=0.0, iterations=0)
+def _mle_lists(stats: BlockStats) -> tuple[list[list[float]], list[list[float]]]:
+    """T_rs and m_rs / T_rs as nested lists, by the float operations of
+    ``omega_mle`` in its order, so each ratio equals its entry bit for bit."""
+    two_m = float(stats.two_m)
+    kappa = [float(v) for v in stats.kappa]
+    t = [[kr * ks / two_m for ks in kappa] for kr in kappa]
+    ratio = [[mrs / trs if trs > 0 else 0.0 for mrs, trs in zip(row, t_row)]
+             for row, t_row in zip(stats.m_block, t)]
+    return t, ratio
+
+
+def _mle_feasible(stats: BlockStats, mode: AssortativityMode) -> bool:
+    """``is_feasible(omega_mle(stats), mode, 0.0)``, computed on lists."""
+    if mode is AssortativityMode.NONE or stats.k <= 1:
+        return True
+    ratio = _mle_lists(stats)[1]
+    if mode is AssortativityMode.STRONG:
+        return min(row[q] for q, row in enumerate(ratio)) >= max(
+            x for r, row in enumerate(ratio) for s, x in enumerate(row) if r != s)
+    return all(row[q] >= max(row[:q] + row[q + 1:])
+               for q, row in enumerate(ratio))
 
 
 def solve_constrained(stats: BlockStats, mode: AssortativityMode,
@@ -117,7 +137,8 @@ def solve_constrained(stats: BlockStats, mode: AssortativityMode,
     with a valid threshold and no iterations.  Otherwise strong mode is
     solved exactly by a walk over the sorted entry ratios, and weak mode by
     a primal log-barrier Newton method on the free entries; ``cfg`` applies
-    to weak mode only.
+    to weak mode only.  The strong solve runs on Python lists; numpy only
+    sums its objective and wraps the returned omega.
 
     Raises
     ------
@@ -128,68 +149,67 @@ def solve_constrained(stats: BlockStats, mode: AssortativityMode,
     if stats.two_m <= 0 or all(v == 0 for row in stats.m_block for v in row):
         raise ValueError("all block edge counts are zero")
 
-    if mode is AssortativityMode.NONE:
-        return _trivial_solution(stats, lam=0.0)
-
-    what = omega_mle(stats)
-    k = stats.k
-    if k == 1:
-        return _trivial_solution(stats, lam=float(what[0, 0]))
-
-    if mode is AssortativityMode.STRONG:
-        # A block with zero degree sum carries no likelihood terms, so its
-        # diagonal is free: it is left out of the test and set to lambda.
-        dead = [q for q in range(k) if stats.kappa[q] == 0]
-        dmin = float(np.min(np.delete(np.diag(what), dead)))
-        omax = float(np.max(what[~np.eye(k, dtype=bool)]))
-        if dmin >= omax:
-            sol = _trivial_solution(stats, lam=0.5 * (dmin + omax))
-            sol.omega[dead, dead] = sol.lam
-            return sol
-        return _solve_strong_exact(stats, what)
-
-    if is_feasible(what, AssortativityMode.WEAK, 0.0):
-        return _trivial_solution(stats, lam=0.0)
-    return _solve_weak_barrier(stats, what, cfg or SolverConfig())
+    if mode is AssortativityMode.STRONG and stats.k > 1:
+        return _solve_strong_exact(stats)
+    if not _mle_feasible(stats, mode):
+        return _solve_weak_barrier(stats, omega_mle(stats), cfg or SolverConfig())
+    # mode NONE, a single block, or a weakly assortative closed form
+    w = omega_mle(stats)
+    lam = float(w[0, 0]) if stats.k == 1 and mode is not AssortativityMode.NONE else 0.0
+    return OmegaSolution(omega=w, lam=lam, objective=log_likelihood(stats, w),
+                         kkt_residual=0.0, iterations=0)
 
 
-def _solve_strong_exact(stats: BlockStats, what: np.ndarray) -> OmegaSolution:
-    # For fixed lam the profile g(lam) is concave with g'(lam) = A/lam - B,
-    # A and B summing the (m, T) of the entries clamped at lam: diagonals with
-    # ratio below lam (half weight) and edge-carrying off-diagonals with ratio
-    # above it (full weight: the symmetric sum counts them twice).  Walking the
-    # ratios upward, lam* = A/B on the first interval whose right end has g' <= 0.
-    # Infeasibility among blocks with degree keeps some entry clamped: B > 0.
-    ratio = what.tolist()
-    kappa = stats.kappa
-    two_m = float(stats.two_m)
-    a = b = 0.0
-    events = []  # (ratio, change of A, change of B) once lam passes ratio
-    for r, row in enumerate(stats.m_block):
-        for s in range(r, stats.k):
-            t = kappa[r] * kappa[s] / two_m
-            if t == 0:
-                continue
-            if r == s:
-                events.append((ratio[r][r], 0.5 * row[r], 0.5 * t))
-            elif row[s] > 0:
-                a += row[s]
-                b += t
-                events.append((ratio[r][s], -row[s], -t))
-    events.sort()
+def _solve_strong_exact(stats: BlockStats) -> OmegaSolution:
+    # For fixed lam, omega_qq = max(ratio_qq, lam), omega_rs = min(ratio_rs,
+    # lam).  A block with zero degree sum carries no likelihood terms, so its
+    # diagonal is free: the closed-form test leaves it out; it rides at lam.
+    k, kappa, m = stats.k, stats.kappa, stats.m_block
+    t, ratio = _mle_lists(stats)
+    dmin = min(ratio[q][q] for q in range(k) if kappa[q])
+    omax = max(x for r, row in enumerate(ratio) for s, x in enumerate(row) if r != s)
     crossed = 0
-    for rho, da, db in events:
-        if a <= b * rho:
-            break
-        a += da
-        b += db
-        crossed += 1
-    lam = a / b
+    if dmin >= omax:
+        lam = 0.5 * (dmin + omax)
+    else:
+        # The profile g(lam) is concave with g'(lam) = A/lam - B, A and B
+        # summing the (m, T) of the entries clamped at lam: diagonals with
+        # ratio below lam (half weight) and edge-carrying off-diagonals with
+        # ratio above it (full weight: the symmetric sum counts them twice).
+        # Walking the ratios upward, lam* = A/B on the first interval whose
+        # right end has g' <= 0.  Infeasibility among blocks with degree
+        # keeps some entry clamped: B > 0.
+        a = b = 0.0
+        events = []  # (ratio, change of A, change of B) once lam passes ratio
+        for r, row in enumerate(m):
+            for s, trs in enumerate(t[r][r:], r):
+                if trs == 0:
+                    continue
+                if r == s:
+                    events.append((ratio[r][r], 0.5 * row[r], 0.5 * trs))
+                elif row[s] > 0:
+                    a += row[s]
+                    b += trs
+                    events.append((ratio[r][s], -row[s], -trs))
+        events.sort()
+        for rho, da, db in events:
+            if a <= b * rho:
+                break
+            a += da
+            b += db
+            crossed += 1
+        lam = a / b
 
-    omega = np.minimum(what, lam)
-    np.fill_diagonal(omega, np.maximum(np.diag(what), lam))
-    return OmegaSolution(omega=omega, lam=lam,
-                         objective=log_likelihood(stats, omega),
+    omega = [[min(x, lam) for x in row] for row in ratio]
+    log_part, t_part = [], []
+    for r, row in enumerate(m):
+        omega[r][r] = max(ratio[r][r], lam)
+        for mrs, trs, w in zip(row, t[r], omega[r]):
+            log_part.append(mrs * math.log(w) if mrs else 0.0)
+            t_part.append(trs * w)
+    # numpy sums the terms, in log_likelihood's order
+    objective = 0.5 * float(np.add.reduce(log_part) - np.add.reduce(t_part))
+    return OmegaSolution(omega=np.array(omega), lam=lam, objective=objective,
                          kkt_residual=0.0, iterations=crossed)
 
 

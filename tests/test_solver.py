@@ -8,6 +8,7 @@ from acsbm import (AssortativityMode, BlockStats, OmegaSolution, Partition,
                    SolverConfig, block_stats, is_feasible,
                    lambda_profile_oracle, log_likelihood, omega_mle,
                    solve_constrained)
+from acsbm.solver import _mle_feasible
 from helpers import random_block_stats
 
 
@@ -32,6 +33,41 @@ OMEGA_STRONG = symmetric([[2.0196, 1.7152, 0.9, 0.8],
 # K=2 instance whose strong optimum has a closed form: all constraints bind,
 # omega == lambda everywhere, lambda* = sum(m) / sum(T) = 1, objective = -9.
 BINDING_STATS = BlockStats(2, [[4, 6], [6, 2]], [10, 8], 18)
+
+# Zero-degree block beside blocks whose closed form is strongly assortative.
+ZERO_DEGREE_STATS = [
+    BlockStats(3, [[194, 2, 0], [2, 194, 0], [0, 0, 0]], [196, 196, 0], 392),
+    BlockStats(4, [[178, 6, 4, 0], [6, 136, 5, 0], [4, 5, 232, 0],
+                   [0, 0, 0, 0]], [188, 147, 241, 0], 576),
+]
+
+
+def with_zero_degree_block(st: BlockStats) -> BlockStats:
+    k = st.k + 1
+    return BlockStats(k, [row + [0] for row in st.m_block] + [[0] * k],
+                      st.kappa + [0], st.two_m)
+
+
+def with_tie(st: BlockStats, c: int) -> BlockStats:
+    """Blocks 0 and 1 with equal degree and m_00 = m_01 = m_11 = c, so the
+    diagonal ratio of block 0 equals the off-diagonal ratio (0, 1) exactly."""
+    m = [row[:] for row in st.m_block]
+    m[0][0] = m[0][1] = m[1][0] = m[1][1] = c
+    for s in range(2, st.k):
+        m[1][s] = m[s][1] = m[0][s]
+    kappa = [sum(row) for row in m]
+    return BlockStats(st.k, m, kappa, sum(kappa))
+
+
+def binding_random_stats(count: int = 200) -> list[BlockStats]:
+    """Random stats whose closed form is not strongly assortative."""
+    rng = random.Random(59)
+    out = []
+    while len(out) < count:
+        st = random_block_stats(rng, rng.choice([2, 3, 4, 6, 8]))
+        if not is_feasible(omega_mle(st), AssortativityMode.STRONG):
+            out.append(st)
+    return out
 
 
 class TestIsFeasible:
@@ -64,6 +100,28 @@ class TestIsFeasible:
                 w[r, r] = 1.0 + rng.random()  # diag above every off entry
             assert is_feasible(w, AssortativityMode.STRONG, 0.0)
             assert is_feasible(w, AssortativityMode.WEAK, 0.0)
+
+    def test_list_test_matches_closed_form_check(self):
+        # the fit's list-based test of the closed form must agree exactly
+        # with is_feasible on omega_mle, zero-degree blocks and ties included
+        rng = random.Random(67)
+        cases = []
+        for _ in range(1200):
+            st = random_block_stats(rng, rng.choice([1, 2, 3, 4, 6, 8]))
+            cases += [st, with_zero_degree_block(st)]
+            if st.k >= 2:
+                tie = with_tie(st, 2 * rng.randint(1, 10))
+                assert omega_mle(tie)[0, 0] == omega_mle(tie)[0, 1]
+                cases.append(tie)
+        cases += ZERO_DEGREE_STATS + [BINDING_STATS]
+        outcomes = set()
+        for st in cases:
+            w = omega_mle(st)
+            for mode in (AssortativityMode.STRONG, AssortativityMode.WEAK):
+                expected = is_feasible(w, mode, 0.0)
+                assert _mle_feasible(st, mode) is expected, (st, mode)
+                outcomes.add((mode, expected))
+        assert len(outcomes) == 4
 
 
 class TestOracle:
@@ -167,13 +225,7 @@ class TestSolveConstrained:
         # the threshold walk has no tolerance: the result is feasible with
         # no slack, matches the golden-section oracle to rounding, and no
         # threshold a relative 1e-6 either side of lambda* does better
-        rng = random.Random(59)
-        binding = 0
-        while binding < 200:
-            st = random_block_stats(rng, rng.choice([2, 3, 4, 6, 8]))
-            if is_feasible(omega_mle(st), AssortativityMode.STRONG):
-                continue
-            binding += 1
+        for st in binding_random_stats():
             sol = solve_constrained(st, AssortativityMode.STRONG)
             assert is_feasible(sol.omega, AssortativityMode.STRONG, 0.0)
             assert sol.kkt_residual == 0.0 and sol.converged
@@ -183,6 +235,22 @@ class TestSolveConstrained:
             near = lambda_profile_oracle(
                 st, lambdas=[lam * (1 - 1e-6), lam, lam * (1 + 1e-6)])
             assert near.lam == lam
+
+    def test_strong_solve_is_the_clamped_closed_form(self):
+        # omega is omega_mle with off-diagonals capped and diagonals floored
+        # at lambda, bit for bit, and the objective is its log-likelihood
+        rng = random.Random(61)
+        cases = binding_random_stats() + ZERO_DEGREE_STATS + [
+            with_zero_degree_block(random_block_stats(rng, rng.choice([1, 2, 3, 5, 7])))
+            for _ in range(200)]
+        for st in cases:
+            sol = solve_constrained(st, AssortativityMode.STRONG)
+            what = omega_mle(st)
+            expected = np.minimum(what, sol.lam)
+            np.fill_diagonal(expected, np.maximum(np.diag(what), sol.lam))
+            assert sol.omega.tobytes() == expected.tobytes()
+            ref = log_likelihood(st, sol.omega)
+            assert abs(sol.objective - ref) <= 1e-13 * abs(ref)
 
     def test_all_zero_stats_rejected(self):
         st = BlockStats(2, [[0, 0], [0, 0]], [0, 0], 0)
@@ -203,11 +271,7 @@ class TestSolveConstrained:
         assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
         assert is_feasible(sol.omega, AssortativityMode.STRONG, 1e-6)
 
-    @pytest.mark.parametrize("st", [
-        BlockStats(3, [[194, 2, 0], [2, 194, 0], [0, 0, 0]], [196, 196, 0], 392),
-        BlockStats(4, [[178, 6, 4, 0], [6, 136, 5, 0], [4, 5, 232, 0],
-                       [0, 0, 0, 0]], [188, 147, 241, 0], 576),
-    ])
+    @pytest.mark.parametrize("st", ZERO_DEGREE_STATS)
     def test_zero_degree_block_beside_assortative_blocks(self, st):
         # only the zero-degree diagonal violates the constraint, so the
         # optimum is the closed form with that diagonal lifted to lambda
@@ -219,10 +283,8 @@ class TestSolveConstrained:
     def test_zero_degree_block_random(self):
         rng = random.Random(61)
         for _ in range(200):
-            live = random_block_stats(rng, rng.choice([1, 2, 3, 5, 7]))
-            k = live.k + 1
-            st = BlockStats(k, [row + [0] for row in live.m_block] + [[0] * k],
-                            live.kappa + [0], live.two_m)
+            st = with_zero_degree_block(
+                random_block_stats(rng, rng.choice([1, 2, 3, 5, 7])))
             sol = solve_constrained(st, AssortativityMode.STRONG)
             assert is_feasible(sol.omega, AssortativityMode.STRONG, 0.0)
             ref = lambda_profile_oracle(st)
