@@ -1,10 +1,9 @@
 """Degree-corrected stochastic block models with assortativity constraints.
 
 Fit DC-SBMs by relocation local search, optionally constraining the block
-parameter matrix to strong assortativity (solved exactly) or weak
-assortativity (interior-point solver); generate synthetic benchmark
-networks; evaluate partitions; and orchestrate reproducible experiment
-sweeps.
+parameter matrix to strong or weak assortativity (both solved exactly);
+generate synthetic benchmark networks; evaluate partitions; and orchestrate
+reproducible experiment sweeps.
 """
 
 __version__ = "0.1.0"
@@ -15,8 +14,8 @@ from .core import (BlockStats, EmptyBlockMoveError, Graph, GraphFormatError,
                    write_edge_list, write_labels)
 from .likelihood import (log_likelihood, modularity, omega_mle,
                          profile_log_likelihood, profile_offset)
-from .solver import (AssortativityMode, OmegaSolution, SolverConfig,
-                     is_feasible, lambda_profile_oracle, solve_constrained)
+from .solver import (AssortativityMode, OmegaSolution, is_feasible,
+                     lambda_profile_oracle, solve_constrained)
 from .metrics import (assortativity_level, contingency_table,
                       count_assortative_communities, nmi)
 from .search import (FitConfig, FitResult, delta_relocation, fit, multi_start)
@@ -33,7 +32,7 @@ __all__ = [
     "apply_relocation", "edges_into_blocks",
     "log_likelihood", "omega_mle", "profile_log_likelihood",
     "profile_offset", "modularity",
-    "AssortativityMode", "SolverConfig", "OmegaSolution", "is_feasible",
+    "AssortativityMode", "OmegaSolution", "is_feasible",
     "solve_constrained", "lambda_profile_oracle",
     "assortativity_level", "contingency_table",
     "count_assortative_communities", "nmi",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .generators import PpmSpec, SbmSpec, generate_ppm, generate_sbm
 from .metrics import assortativity_level, count_assortative_communities, nmi
 from .search import (OBJECTIVE_LIKELIHOOD, OBJECTIVE_MODULARITY, FitConfig,
                      FitResult, multi_start)
-from .solver import AssortativityMode, SolverConfig
+from .solver import AssortativityMode
 
 __all__ = [
     "ExperimentPlan",
@@ -42,7 +42,6 @@ FEASIBILITY_TOL = 1e-6
 
 
 def model_fit_config(model: str, k: int, seed: int,
-                     solver: SolverConfig | None = None,
                      mode: AssortativityMode | None = None) -> FitConfig:
     """FitConfig for a named model.
 
@@ -50,17 +49,15 @@ def model_fit_config(model: str, k: int, seed: int,
     one (strong by default, ``mode`` may select weak), and modularity the
     modularity-objective baseline.
     """
-    solver = solver or SolverConfig()
     if model == "dc-sbm":
         return FitConfig(k=k, mode=AssortativityMode.NONE, seed=seed,
-                         solver=solver, objective=OBJECTIVE_LIKELIHOOD)
+                         objective=OBJECTIVE_LIKELIHOOD)
     if model == "ac-dc-sbm":
         return FitConfig(k=k, mode=mode or AssortativityMode.STRONG,
-                         seed=seed, solver=solver,
-                         objective=OBJECTIVE_LIKELIHOOD)
+                         seed=seed, objective=OBJECTIVE_LIKELIHOOD)
     if model == "modularity":
         return FitConfig(k=k, mode=AssortativityMode.NONE, seed=seed,
-                         solver=solver, objective=OBJECTIVE_MODULARITY)
+                         objective=OBJECTIVE_MODULARITY)
     raise ValueError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
 
 
@@ -88,7 +85,6 @@ class ExperimentPlan:
     quantile: float = 0.10
     graph_path: str | None = None
     index_base: int = 0
-    solver_tol: float = 1e-8
     workers: int | None = None
 
     def __post_init__(self) -> None:
@@ -109,6 +105,9 @@ class ExperimentPlan:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         data.pop("comment", None)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"{path}: unknown plan keys {', '.join(unknown)}")
         for key in ("diag_range", "offdiag_range"):
             if key in data:
                 data[key] = tuple(data[key])
@@ -120,12 +119,9 @@ class ExperimentPlan:
         d["offdiag_range"] = list(self.offdiag_range)
         return d
 
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(tol=self.solver_tol)
-
 
 def _fit_ensemble(graph: Graph, model: str, plan: ExperimentPlan) -> list[FitResult]:
-    cfg = model_fit_config(model, plan.k, plan.fit_seed, plan.solver_config())
+    cfg = model_fit_config(model, plan.k, plan.fit_seed)
     return multi_start(graph, cfg, plan.runs, workers=plan.workers)
 
 
@@ -249,7 +245,7 @@ def run_real(plan: ExperimentPlan, graph_path=None, k: int | None = None,
                     "total_weight": graph.total_weight, "k": k, "models": {}}
     rows: list[dict] = []
     for model in plan.models:
-        cfg = model_fit_config(model, k, plan.fit_seed, plan.solver_config())
+        cfg = model_fit_config(model, k, plan.fit_seed)
         results = multi_start(graph, cfg, plan.runs, workers=plan.workers)
         for result in results:
             rows.append({"model": model, "run": result.seed - plan.fit_seed,

@@ -15,7 +15,7 @@ from .generators import (PpmSpec, SbmSpec, generate_ppm, generate_sbm,
                          ppm_rates, write_instance)
 from .metrics import nmi
 from .search import multi_start
-from .solver import AssortativityMode, SolverConfig
+from .solver import AssortativityMode
 
 __all__ = ["main"]
 
@@ -57,9 +57,8 @@ def _cmd_fit(args) -> int:
     if args.mode is not None and args.model != "ac-dc-sbm":
         raise ValueError("--mode only applies to --model ac-dc-sbm")
     graph = load_edge_list(args.graph, index_base=1 if args.one_based else 0)
-    solver = SolverConfig(tol=args.tol)
     mode = AssortativityMode(args.mode) if args.mode else None
-    cfg = model_fit_config(args.model, args.k, args.seed, solver, mode=mode)
+    cfg = model_fit_config(args.model, args.k, args.seed, mode=mode)
     if args.max_sweeps is not None:
         cfg = replace(cfg, max_sweeps=args.max_sweeps)
     results = multi_start(graph, cfg, args.runs, workers=args.workers)
@@ -156,8 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="assortativity constraints (ac-dc-sbm only)")
     g.add_argument("--runs", type=int, default=1)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--tol", type=float, default=1e-8,
-                   help="weak-mode solver tolerance (strong mode is exact)")
     g.add_argument("--max-sweeps", type=int, default=None)
     g.add_argument("--workers", type=int, default=None,
                    help="parallel runs (default from ACSBM_WORKERS, else 1)")

@@ -20,11 +20,11 @@ Modularity objective: a candidate is taken iff it raises Q, decided
 exactly on integers by 2m(d_b - d_a) - k_i(kappa_b - kappa_a + k_i) > 0
 (the change of Q times (2m)^2 / 2).
 
-In strong mode every partition whose ratios m_rs/T_rs are at most 1 on the
-diagonal and at least 1 off it has the null optimum Omega = 1, likelihood -m.
-On that plateau the likelihood search also takes moves along it that raise
-modularity (which is <= 0 there), by the same integer test, until a
-neighbour off the plateau scores higher.
+Many disassortative partitions have the null constrained optimum Omega = 1,
+likelihood -m (``solver._on_null_plateau``).  On that plateau the likelihood
+search also takes moves along it that raise modularity (which is <= 0
+there), by the same integer test, until a neighbour off the plateau scores
+higher.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import math
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,8 +42,8 @@ from .core import (BlockStats, Graph, Partition, _check_move,
 from .likelihood import (log_likelihood, modularity, omega_mle,
                          profile_log_likelihood, profile_offset)
 # is_feasible is unused here; it stays a module attribute for the benchmark.
-from .solver import AssortativityMode, OmegaSolution, SolverConfig, \
-    _mle_feasible, is_feasible, solve_constrained  # noqa: F401
+from .solver import AssortativityMode, OmegaSolution, _mle_feasible, \
+    _on_null_plateau, is_feasible, solve_constrained  # noqa: F401
 
 __all__ = [
     "FitConfig",
@@ -74,7 +74,6 @@ class FitConfig:
     mode: AssortativityMode = AssortativityMode.NONE
     seed: int = 0
     max_sweeps: int = 1000
-    solver: SolverConfig = field(default_factory=SolverConfig)
     objective: str = OBJECTIVE_LIKELIHOOD
 
     def __post_init__(self) -> None:
@@ -210,14 +209,6 @@ def _random_partition(n: int, k: int, rng: random.Random) -> list[int]:
     return assign
 
 
-def _on_null_plateau(m, kappa, two_m) -> bool:
-    """Whether the strong optimum is Omega = 1: diagonal ratios <= 1 <= others."""
-    k = len(kappa)
-    return all(m[r][r] * two_m <= kappa[r] ** 2 for r in range(k)) and all(
-        m[r][s] * two_m >= kappa[r] * kappa[s]
-        for r in range(k) for s in range(r + 1, k))
-
-
 def _lambda_certificate(omega: np.ndarray) -> float:
     """A threshold witnessing strong feasibility of a feasible omega."""
     k = omega.shape[0]
@@ -260,12 +251,11 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
     elif _mle_feasible(stats, mode):
         best = prof + offset
     else:
-        current_sol = solve_constrained(stats, mode, cfg.solver)
+        current_sol = solve_constrained(stats, mode)
         n_solves += 1
         best = current_sol.objective
     trace = [best]
-    plateau = mode is AssortativityMode.STRONG and current_sol is not None \
-        and _on_null_plateau(m, kappa, two_m)
+    plateau = current_sol is not None and _on_null_plateau(stats)
 
     degree = graph.degree
     filtered = 0
@@ -307,10 +297,10 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
                     cand = prof_new + offset
                     ok = cand > best
                 if ok and not _mle_feasible(stats, mode):
-                    accept_sol = solve_constrained(stats, mode, cfg.solver)
+                    accept_sol = solve_constrained(stats, mode)
                     n_solves += 1
                     cand = accept_sol.objective
-                    if plateau and _on_null_plateau(m, kappa, two_m):
+                    if plateau and _on_null_plateau(stats):
                         ok, cand = gain > 0, best
                     else:
                         ok = cand > best

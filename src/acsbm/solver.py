@@ -10,16 +10,17 @@ omega_qq >= lambda, omega_rs <= lambda (r != s) and omega_rs >= 0, or in
 strictly concave in every entry that carries edges and the constraints are
 linear, so the optimum is global.
 
-``solve_constrained`` solves strong mode exactly: for fixed lambda every
-entry has a closed form, and the optimal lambda follows from a walk over the
-sorted entry ratios m_rs / T_rs, between which the profile's derivative is
-A/lambda - B.  The strong path (closed-form test, walk, clamp, objective)
-runs on Python lists, whose ratios equal ``omega_mle``'s bit for bit, and
-uses numpy only to sum the objective and wrap the returned omega: at a fit's
-block counts numpy's per-call overhead dominates.  The search tests each candidate's closed form
-on the same lists.  Weak mode uses a primal log-barrier method with damped
-Newton steps.  ``lambda_profile_oracle`` solves strong mode by a
-golden-section search over lambda, to cross-check the exact solve in tests.
+``solve_constrained`` solves both modes exactly.  Strong mode: for fixed
+lambda every entry has a closed form, and the optimal lambda follows from a
+walk over the sorted entry ratios m_rs / T_rs, between which the profile's
+derivative is A/lambda - B.  Weak mode: the optimum is the isotonic
+regression of the ratios weighted by T, whose level sets a series of minimum
+cuts finds.  Both run on Python lists, the strong path on ratios equal to
+``omega_mle``'s bit for bit, and use numpy only to sum the objective and
+wrap the returned omega: at a fit's block counts numpy's per-call overhead
+dominates.  The search tests each candidate's closed form on the same
+lists.  ``lambda_profile_oracle`` solves strong mode by a golden-section
+search over lambda, to cross-check the exact solve in tests.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .likelihood import log_likelihood, omega_mle
 
 __all__ = [
     "AssortativityMode",
-    "SolverConfig",
     "OmegaSolution",
     "is_feasible",
     "solve_constrained",
@@ -51,35 +51,15 @@ class AssortativityMode(str, Enum):
     STRONG = "strong"
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Weak-mode interior-point parameters.
-
-    Strong mode is solved exactly and reads neither field.  tol bounds the
-    duality gap of a weak solution relative to its objective magnitude
-    (gap <= tol * (1 + |objective|), which is also the scale of its
-    feasibility certificate); max_newton_iters caps the weak Newton steps.
-    """
-
-    tol: float = 1e-8
-    max_newton_iters: int = 200
-
-    def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-
-
 @dataclass
 class OmegaSolution:
     """Result of a constrained solve.
 
     lam is the diagonal/off-diagonal threshold (meaningful in strong mode)
-    and objective the log-likelihood at omega.  A strong solve is exact: its
-    kkt_residual is 0, it always converges, and iterations counts the entry
-    ratios its threshold walk crossed.  A weak solve reports as kkt_residual
-    the final barrier weight x constraint count (a duality-gap bound), as
-    iterations its Newton steps, and converged=False when it hit the
-    iteration cap.
+    and objective the log-likelihood at omega.  Both solves are exact: their
+    kkt_residual is 0 and they always converge.  iterations counts the
+    entry ratios a strong solve's threshold walk crossed, or the level-set
+    splits of a weak solve.
     """
 
     omega: np.ndarray
@@ -128,17 +108,17 @@ def _mle_feasible(stats: BlockStats, mode: AssortativityMode) -> bool:
                for q, row in enumerate(ratio))
 
 
-def solve_constrained(stats: BlockStats, mode: AssortativityMode,
-                      cfg: SolverConfig | None = None) -> OmegaSolution:
+def solve_constrained(stats: BlockStats, mode: AssortativityMode) -> OmegaSolution:
     """Maximize the fixed-partition objective under ``mode``'s constraints.
 
     mode NONE returns the closed-form maximizer directly.  When the
     closed-form maximizer already satisfies the constraints, it is returned
     with a valid threshold and no iterations.  Otherwise strong mode is
-    solved exactly by a walk over the sorted entry ratios, and weak mode by
-    a primal log-barrier Newton method on the free entries; ``cfg`` applies
-    to weak mode only.  The strong solve runs on Python lists; numpy only
-    sums its objective and wraps the returned omega.
+    solved exactly by a walk over the sorted entry ratios, and weak mode
+    exactly as an isotonic regression split by minimum cuts, which leaves
+    the entries of blocks with zero degree sum at 0.  Both solves run on
+    Python lists; numpy only sums their objective and wraps the returned
+    omega.
 
     Raises
     ------
@@ -152,7 +132,7 @@ def solve_constrained(stats: BlockStats, mode: AssortativityMode,
     if mode is AssortativityMode.STRONG and stats.k > 1:
         return _solve_strong_exact(stats)
     if not _mle_feasible(stats, mode):
-        return _solve_weak_barrier(stats, omega_mle(stats), cfg or SolverConfig())
+        return _solve_weak_exact(stats)
     # mode NONE, a single block, or a weakly assortative closed form
     w = omega_mle(stats)
     lam = float(w[0, 0]) if stats.k == 1 and mode is not AssortativityMode.NONE else 0.0
@@ -201,162 +181,114 @@ def _solve_strong_exact(stats: BlockStats) -> OmegaSolution:
         lam = a / b
 
     omega = [[min(x, lam) for x in row] for row in ratio]
-    log_part, t_part = [], []
-    for r, row in enumerate(m):
+    for r in range(k):
         omega[r][r] = max(ratio[r][r], lam)
-        for mrs, trs, w in zip(row, t[r], omega[r]):
-            log_part.append(mrs * math.log(w) if mrs else 0.0)
-            t_part.append(trs * w)
-    # numpy sums the terms, in log_likelihood's order
-    objective = 0.5 * float(np.add.reduce(log_part) - np.add.reduce(t_part))
-    return OmegaSolution(omega=np.array(omega), lam=lam, objective=objective,
+    return OmegaSolution(omega=np.array(omega), lam=lam,
+                         objective=_objective(m, t, omega),
                          kkt_residual=0.0, iterations=crossed)
 
 
-# Path-following schedule of the weak barrier weight.
-_BARRIER_INIT = 1.0
-_BARRIER_SHRINK = 0.05
+def _objective(m, t, omega) -> float:
+    """``log_likelihood`` on lists; numpy sums the terms, in its order."""
+    log_part, t_part = [], []
+    for m_row, t_row, w_row in zip(m, t, omega):
+        for mrs, trs, w in zip(m_row, t_row, w_row):
+            log_part.append(mrs * math.log(w) if mrs else 0.0)
+            t_part.append(trs * w)
+    return 0.5 * float(np.add.reduce(log_part) - np.add.reduce(t_part))
 
 
-def _solve_weak_barrier(stats: BlockStats, what: np.ndarray,
-                        cfg: SolverConfig) -> OmegaSolution:
-    k = stats.k
-    m = stats.m_matrix().astype(float)
-    t = stats.t_block
-
-    # Rows with zero degree sum carry no terms and no binding constraints;
-    # pin their whole row/column to zero.
-    active = [q for q in range(k) if stats.kappa[q] > 0]
-    diag_ix = {q: i for i, q in enumerate(active)}
-    off_free = [(r, s) for r in range(k) for s in range(r + 1, k) if m[r, s] > 0]
-    off_ix = {rs: len(active) + i for i, rs in enumerate(off_free)}
-    nvar = len(active) + len(off_free)
-
-    # One barrier term per row constraint omega_qq >= omega_qs (active q,
-    # s != q); against a pinned-zero entry the slack is the diagonal variable
-    # itself, which doubles as its lower bound.
-    constraints: list[tuple[int, int]] = []  # (diag var index, other var index or -1)
-    for q in active:
-        for s in range(k):
-            if s == q:
-                continue
-            rs = (q, s) if q < s else (s, q)
-            constraints.append((diag_ix[q], off_ix.get(rs, -1)))
-    n_con = len(constraints) + len(off_free)
-
-    md = np.array([m[q, q] for q in active])
-    td = np.array([t[q, q] for q in active])
-    mo = np.array([m[r, s] for r, s in off_free])
-    to = np.array([t[r, s] for r, s in off_free])
-
-    a = float(np.mean(what)) + 1.0
-    z = np.empty(nvar)
-    z[:len(active)] = 1.5 * a
-    z[len(active):] = 0.5 * a
-
-    def barrier_value(z, mu):
-        xd = z[:len(active)]
-        yo = z[len(active):]
-        pos = md > 0
-        if np.any(xd[pos] <= 0) or (len(yo) and np.min(yo) <= 0):
-            return -math.inf
-        slacks = np.array([z[di] - (z[oi] if oi >= 0 else 0.0)
-                           for di, oi in constraints])
-        if slacks.size and np.min(slacks) <= 0:
-            return -math.inf
-        val = -0.5 * float(np.sum(td * xd))
-        if np.any(pos):
-            val += 0.5 * float(np.sum(md[pos] * np.log(xd[pos])))
-        if len(yo):
-            val += float(np.sum(mo * np.log(yo) - to * yo))
-            val += mu * float(np.sum(np.log(yo)))
-        if slacks.size:
-            val += mu * float(np.sum(np.log(slacks)))
-        return val
-
-    def objective_part(z):
-        xd = z[:len(active)]
-        yo = z[len(active):]
-        pos = md > 0
-        val = -0.5 * float(np.sum(td * xd))
-        if np.any(pos):
-            val += 0.5 * float(np.sum(md[pos] * np.log(xd[pos])))
-        if len(yo):
-            val += float(np.sum(mo * np.log(yo) - to * yo))
-        return val
-
-    mu = _BARRIER_INIT
-    iters = 0
-    converged = True
-    grad_inf = math.inf
+def _max_closure(gains, above) -> list[int]:
+    """The smallest maximum-gain set closed upward (i in it puts above[i] in
+    it): the source side of a minimum cut, by shortest augmenting paths."""
+    n = len(gains)
+    src, snk = n, n + 1
+    cap = [[0] * (n + 2) for _ in range(n + 2)]
+    for i, g in enumerate(gains):
+        if g > 0:
+            cap[src][i] = g
+        else:
+            cap[i][snk] = -g
+        for j in above[i]:
+            cap[i][j] = math.inf
     while True:
-        for _ in range(cfg.max_newton_iters):
-            xd = z[:len(active)]
-            yo = z[len(active):]
-            g = np.zeros(nvar)
-            h = np.zeros((nvar, nvar))
-            g[:len(active)] = -0.5 * td
-            pos = md > 0
-            g[:len(active)][pos] += 0.5 * md[pos] / xd[pos]
-            np.fill_diagonal(h[:len(active), :len(active)], -0.5 * md / xd ** 2)
-            if len(yo):
-                g[len(active):] = mo / yo - to + mu / yo
-                h[len(active):, len(active):] += np.diag(-(mo + mu) / yo ** 2)
-            for di, oi in constraints:
-                slack = z[di] - (z[oi] if oi >= 0 else 0.0)
-                g[di] += mu / slack
-                h[di, di] -= mu / slack ** 2
-                if oi >= 0:
-                    g[oi] -= mu / slack
-                    h[oi, oi] -= mu / slack ** 2
-                    h[di, oi] += mu / slack ** 2
-                    h[oi, di] += mu / slack ** 2
+        prev = {src: src}
+        queue = [src]
+        for u in queue:
+            for v, c in enumerate(cap[u]):
+                if c > 0 and v not in prev:
+                    prev[v] = u
+                    queue.append(v)
+        if snk not in prev:
+            return [v for v in prev if v < n]
+        path = [snk]
+        while path[-1] != src:
+            path.append(prev[path[-1]])
+        push = min(cap[u][v] for v, u in zip(path, path[1:]))
+        for v, u in zip(path, path[1:]):
+            cap[u][v] -= push
+            cap[v][u] += push
 
-            grad_inf = float(np.max(np.abs(g), initial=0.0))
-            sigma = 0.0
-            for _ in range(12):
-                try:
-                    step = np.linalg.solve(h - sigma * np.eye(nvar), -g)
-                except np.linalg.LinAlgError:
-                    step = None
-                if step is not None and float(np.dot(g, step)) > 0:
-                    break
-                sigma = 1e-8 if sigma == 0.0 else sigma * 100
-            else:
-                step = g / max(1.0, grad_inf)  # gradient fallback
-            dec2 = float(np.dot(g, step))
-            if dec2 <= 1e-2 * mu:
-                break
 
-            b0 = barrier_value(z, mu)
-            alpha = 1.0
-            for _ in range(60):
-                zn = z + alpha * step
-                if barrier_value(zn, mu) >= b0 + 0.25 * alpha * dec2:
-                    break
-                alpha *= 0.5
-            else:
-                break
-            z = zn
-            iters += 1
-            if iters >= cfg.max_newton_iters:
-                converged = False
-                break
-        gap_target = cfg.tol * (1.0 + abs(objective_part(z)))
-        if not converged or n_con * mu <= gap_target:
-            break
-        mu *= _BARRIER_SHRINK
+def _solve_weak_exact(stats: BlockStats) -> OmegaSolution:
+    # The weak optimum is the isotonic regression of the ratios m/T weighted
+    # by T under omega_rs <= omega_rr, omega_ss (Robertson, Wright & Dykstra
+    # 1988, sec. 1.5).  A part's cells above its pooled level c are its
+    # maximum-gain upper set for the gains T (ratio - c) (Hochbaum & Queyranne
+    # 2003), so the part splits there or is one level set at c.  Cells of
+    # blocks with degree only, in integers: masses m_qq, 2 m_rs and weights
+    # kappa_q^2, 2 kappa_r kappa_s are the terms' m and T (half on the
+    # diagonal) times 2 and 4m, so a part pools at 2m sum(mass) / sum(weight)
+    # and its gains are exact; the whole part's is 0, so a split is proper.
+    kappa = stats.kappa
+    active = [q for q in range(stats.k) if kappa[q]]
+    cells = [(r, s) for i, r in enumerate(active) for s in active[i:]]
+    index = {rs: i for i, rs in enumerate(cells)}
+    mass = [stats.m_block[r][s] * (1 if r == s else 2) for r, s in cells]
+    weight = [kappa[r] * kappa[s] * (1 if r == s else 2) for r, s in cells]
+    above = [[] if r == s else [index[r, r], index[s, s]] for r, s in cells]
+    omega = [[0.0] * stats.k for _ in range(stats.k)]
+    parts = [list(range(len(cells)))]
+    splits = 0
+    while parts:
+        part = parts.pop()
+        a, w = sum(mass[i] for i in part), sum(weight[i] for i in part)
+        local = {i: j for j, i in enumerate(part)}
+        upper = _max_closure([mass[i] * w - weight[i] * a for i in part],
+                             [[local[j] for j in above[i] if j in local]
+                              for i in part])
+        if upper:
+            splits += 1
+            up = {part[j] for j in upper}
+            parts += [sorted(up), [i for i in part if i not in up]]
+            continue
+        c = stats.two_m * a / w
+        for i in part:
+            r, s = cells[i]
+            omega[r][s] = omega[s][r] = c
+    return OmegaSolution(omega=np.array(omega), lam=0.0,
+                         objective=_objective(stats.m_block,
+                                              _mle_lists(stats)[0], omega),
+                         kkt_residual=0.0, iterations=splits)
 
-    omega = np.zeros((k, k))
-    for q, i in diag_ix.items():
-        omega[q, q] = z[i]
-    for (r, s), i in off_ix.items():
-        omega[r, s] = omega[s, r] = z[i]
 
-    return OmegaSolution(omega=omega, lam=0.0,
-                         objective=log_likelihood(stats, omega),
-                         kkt_residual=max(n_con * mu, grad_inf * mu),
-                         iterations=iters, converged=converged)
+def _on_null_plateau(stats: BlockStats) -> bool:
+    """Whether Omega = 1 (on the blocks with degree) is the constrained
+    optimum, log-likelihood -m whatever the partition: diagonal ratios <= 1
+    <= off-diagonal ratios, in strong and in weak mode alike.
+
+    Weak mode: all cells pool at exactly 1, so Omega = 1 is optimal iff no
+    upper set of cells gains at 1 (see ``_solve_weak_exact``).  Given the test, the best
+    one on diagonals S takes every off-diagonal inside S, and its gain
+    2m M_S - kappa_S^2 (M_S the edge ends inside S) is minus the off-diagonal
+    gains 2m m_rs - kappa_r kappa_s between S and the rest, as each row of
+    gains sums to 0: <= 0.  Conversely a weak optimum Omega = 1 is strongly
+    feasible, hence the strong optimum too.
+    """
+    m, kappa, two_m, k = stats.m_block, stats.kappa, stats.two_m, stats.k
+    return all(m[r][r] * two_m <= kappa[r] ** 2 for r in range(k)) and all(
+        m[r][s] * two_m >= kappa[r] * kappa[s]
+        for r in range(k) for s in range(r + 1, k))
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

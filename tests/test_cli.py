@@ -144,6 +144,15 @@ class TestBench:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
 
+    def test_unknown_plan_key_fails_cleanly(self, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"kind": "ppm-sweep", "solver_tol": 1e-8}))
+        rc = main(["bench", "ppm", "--plan", str(plan_path),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "solver_tol" in err
+
     def test_real_bench(self, tmp_path, capsys, triangle_pair):
         graph_path = tmp_path / "net.edges"
         write_edge_list(triangle_pair, graph_path)

@@ -92,14 +92,15 @@ class TestFit:
         result = fit(g, FitConfig(k=3, seed=0))
         assert sorted(result.partition.block_sizes()) == [1, 1, 1]
 
-    def test_strong_search_leaves_null_plateau(self):
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    def test_search_leaves_null_plateau(self, mode):
         # most random halves of two joined 5-cliques are disassortative, and
-        # there the strong optimum is Omega = 1 with log-likelihood -m for
-        # every partition; the search must still walk off that plateau
+        # there the constrained optimum is Omega = 1 with log-likelihood -m
+        # for every partition; the search must still walk off that plateau
         g = Graph(10, [(i, j, 1) for c in (0, 5) for i in range(c, c + 5)
                        for j in range(i + 1, c + 5)] + [(4, 5, 1)])
-        results = [fit(g, FitConfig(k=2, mode=AssortativityMode.STRONG,
-                                    seed=seed)) for seed in range(20)]
+        results = [fit(g, FitConfig(k=2, mode=mode, seed=seed))
+                   for seed in range(20)]
         on_plateau = [r.trace[0] == pytest.approx(-g.total_weight)
                       for r in results]
         assert sum(on_plateau) >= 10

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,10 +6,9 @@ import numpy as np
 import pytest
 
 from acsbm import (AssortativityMode, BlockStats, OmegaSolution, Partition,
-                   SolverConfig, block_stats, is_feasible,
-                   lambda_profile_oracle, log_likelihood, omega_mle,
-                   solve_constrained)
-from acsbm.solver import _mle_feasible
+                   block_stats, is_feasible, lambda_profile_oracle,
+                   log_likelihood, omega_mle, solve_constrained)
+from acsbm.solver import _mle_feasible, _on_null_plateau
 from helpers import random_block_stats
 
 
@@ -59,13 +59,14 @@ def with_tie(st: BlockStats, c: int) -> BlockStats:
     return BlockStats(st.k, m, kappa, sum(kappa))
 
 
-def binding_random_stats(count: int = 200) -> list[BlockStats]:
-    """Random stats whose closed form is not strongly assortative."""
-    rng = random.Random(59)
+def binding_random_stats(count: int = 200, mode=AssortativityMode.STRONG,
+                         ks=(2, 3, 4, 6, 8), seed: int = 59) -> list[BlockStats]:
+    """Random stats whose closed form violates ``mode``'s constraints."""
+    rng = random.Random(seed)
     out = []
     while len(out) < count:
-        st = random_block_stats(rng, rng.choice([2, 3, 4, 6, 8]))
-        if not is_feasible(omega_mle(st), AssortativityMode.STRONG):
+        st = random_block_stats(rng, rng.choice(ks))
+        if not is_feasible(omega_mle(st), mode):
             out.append(st)
     return out
 
@@ -191,8 +192,8 @@ class TestSolveConstrained:
             v_none = solve_constrained(st, AssortativityMode.NONE).objective
             v_weak = solve_constrained(st, AssortativityMode.WEAK).objective
             v_strong = solve_constrained(st, AssortativityMode.STRONG).objective
-            assert v_none >= v_weak - 1e-7
-            assert v_weak >= v_strong - 1e-7
+            assert v_none >= v_weak - 1e-12 * abs(v_weak)
+            assert v_weak >= v_strong - 1e-12 * abs(v_strong)
 
     def test_weak_solution_row_feasible(self):
         rng = random.Random(41)
@@ -210,16 +211,34 @@ class TestSolveConstrained:
                 recomputed = log_likelihood(st, sol.omega)
                 assert abs(sol.objective - recomputed) <= 1e-9 * (1 + abs(recomputed))
 
-    def test_kkt_residual_within_tolerance(self):
-        cfg = SolverConfig(tol=1e-8)
-        sol = solve_constrained(BINDING_STATS, AssortativityMode.WEAK, cfg)
-        assert sol.kkt_residual <= 1e-6
-
-    def test_unconverged_flagged_but_feasible(self):
-        cfg = SolverConfig(max_newton_iters=2)
-        sol = solve_constrained(BINDING_STATS, AssortativityMode.WEAK, cfg)
-        assert not sol.converged
-        assert is_feasible(sol.omega, AssortativityMode.WEAK, 1e-9)
+    def test_weak_solve_is_exact(self):
+        # The weak optimum is the isotonic regression of the ratios m/T with
+        # weights T (half on the diagonal).  With res = w (ratio - omega) it
+        # is certified by sum(res) = 0, sum(res * omega) = 0 and no upper set
+        # (diagonals S, with any off-diagonals inside S) of positive sum.
+        weak = AssortativityMode.WEAK
+        cases = binding_random_stats(mode=weak, ks=(2, 3, 4, 6), seed=71)
+        cases += [with_zero_degree_block(st) for st in cases]
+        for st in cases:
+            sol = solve_constrained(st, weak)
+            assert is_feasible(sol.omega, weak, 0.0)
+            assert sol.kkt_residual == 0.0 and sol.converged
+            m = st.m_matrix().astype(float)
+            half = np.where(np.eye(st.k, dtype=bool), 0.5, 1.0)
+            res = np.triu(half * (m - st.t_block * sol.omega))
+            tol = 1e-12 * m.sum()
+            assert abs(res.sum()) <= tol
+            assert abs((res * sol.omega).sum()) <= tol
+            active = [q for q in range(st.k) if st.kappa[q]]
+            for size in range(1, len(active) + 1):
+                for blocks in itertools.combinations(active, size):
+                    gain = sum(res[q, q] for q in blocks) + sum(
+                        max(0.0, res[r, s])
+                        for r, s in itertools.combinations(blocks, 2))
+                    assert gain <= tol, (st, blocks)
+            if st.k == 2:  # two blocks: the weak and strong sets coincide
+                ref = lambda_profile_oracle(st).objective
+                assert abs(sol.objective - ref) <= 1e-12 * abs(ref)
 
     def test_strong_solve_is_exact(self):
         # the threshold walk has no tolerance: the result is feasible with
@@ -251,6 +270,28 @@ class TestSolveConstrained:
             assert sol.omega.tobytes() == expected.tobytes()
             ref = log_likelihood(st, sol.omega)
             assert abs(sol.objective - ref) <= 1e-13 * abs(ref)
+
+    def test_null_plateau_is_the_all_ones_optimum(self):
+        # the integer plateau test holds iff each mode's optimum is 1 on the
+        # blocks with degree; a quarter of the internal edges makes the
+        # plateau common beyond two blocks
+        rng = random.Random(79)
+        seen = set()
+        for _ in range(300):
+            st = random_block_stats(rng, rng.choice([2, 3, 4, 6]))
+            m = [[2 * (v // 8) if r == s else v for s, v in enumerate(row)]
+                 for r, row in enumerate(st.m_block)]
+            kappa = [sum(row) for row in m]
+            for case in (st, BlockStats(st.k, m, kappa, sum(kappa))):
+                if case.two_m == 0:
+                    continue
+                live = np.flatnonzero(case.kappa)
+                for mode in (AssortativityMode.STRONG, AssortativityMode.WEAK):
+                    omega = solve_constrained(case, mode).omega[np.ix_(live, live)]
+                    ones = bool(np.all(np.abs(omega - 1.0) <= 1e-12))
+                    assert _on_null_plateau(case) is ones, (case, mode)
+                    seen.add((case.k > 2, ones))
+        assert len(seen) == 4
 
     def test_all_zero_stats_rejected(self):
         st = BlockStats(2, [[0, 0], [0, 0]], [0, 0], 0)
