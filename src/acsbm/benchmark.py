@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -61,6 +62,17 @@ def model_fit_config(model: str, k: int, seed: int,
     raise ValueError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
 
 
+def _json_fits(value, hint) -> bool:
+    """Whether a JSON value has the type hint of a plan field."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (list, tuple):  # list[T] of any length, tuple[T, T] of two
+        return isinstance(value, list) and all(_json_fits(v, args[0]) for v in value) \
+            and (origin is list or len(value) == len(args))
+    if args:  # T | None
+        return any(_json_fits(value, a) for a in args)
+    return type(value) in ((int, float) if hint is float else (hint,))
+
+
 @dataclass
 class ExperimentPlan:
     """Declarative description of one experiment.
@@ -104,10 +116,17 @@ class ExperimentPlan:
     def from_json(cls, path) -> "ExperimentPlan":
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: a plan is a JSON object, got {type(data).__name__}")
         data.pop("comment", None)
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        hints = get_type_hints(cls)
+        unknown = sorted(set(data) - set(hints))
         if unknown:
             raise ValueError(f"{path}: unknown plan keys {', '.join(unknown)}")
+        for f in fields(cls):
+            if f.name in data and not _json_fits(data[f.name], hints[f.name]):
+                raise ValueError(f"{path}: plan key {f.name!r} must be {f.type}, "
+                                 f"got {json.dumps(data[f.name])}")
         for key in ("diag_range", "offdiag_range"):
             if key in data:
                 data[key] = tuple(data[key])

@@ -19,6 +19,8 @@ from .solver import AssortativityMode
 
 __all__ = ["main"]
 
+BENCH_KINDS = {"ppm": "ppm-sweep", "sbm": "sbm-ensemble", "real": "real-network"}
+
 
 def _cmd_generate_ppm(args) -> int:
     spec = PpmSpec(n=args.n, k=args.k, avg_degree=args.avg_degree,
@@ -99,20 +101,16 @@ def _cmd_bench(args) -> int:
     plan = ExperimentPlan.from_json(args.plan)
     if args.workers is not None:
         plan.workers = args.workers
+    if plan.kind != BENCH_KINDS[args.experiment]:
+        raise ValueError(f"plan kind {plan.kind!r} does not match {args.experiment!r}")
     out = Path(args.out)
     if args.experiment == "ppm":
-        if plan.kind != "ppm-sweep":
-            raise ValueError(f"plan kind {plan.kind!r} does not match 'ppm'")
         rows = run_ppm_sweep(plan, out_dir=out)
         print(f"wrote {out / 'ppm_sweep.csv'} ({len(rows)} rows)")
     elif args.experiment == "sbm":
-        if plan.kind != "sbm-ensemble":
-            raise ValueError(f"plan kind {plan.kind!r} does not match 'sbm'")
         rows = run_sbm_ensemble(plan, out_dir=out)
         print(f"wrote {out / 'sbm_ensemble.csv'} ({len(rows)} rows)")
     else:
-        if plan.kind != "real-network":
-            raise ValueError(f"plan kind {plan.kind!r} does not match 'real'")
         report = run_real(plan, graph_path=args.graph, k=args.k, out_dir=out)
         for model, info in report["models"].items():
             print(f"{model}: loglik={info['log_likelihood']:.4f} "
@@ -169,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=_cmd_eval)
 
     g = sub.add_parser("bench", help="run a planned experiment")
-    g.add_argument("experiment", choices=["ppm", "sbm", "real"])
+    g.add_argument("experiment", choices=list(BENCH_KINDS))
     g.add_argument("--plan", required=True, help="plan JSON path")
     g.add_argument("--out", required=True, help="output directory")
     g.add_argument("--graph", default=None, help="edge list (real only)")

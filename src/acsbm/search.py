@@ -6,15 +6,15 @@ relocations; a tried move updates the block statistics in place through
 
 Likelihood objective: each candidate is first scored with the
 *unconstrained* profile objective, updated incrementally in O(K + deg(i))
-from cached x*log(x) values of the block counts; only candidates that would
-improve the current value, yet whose closed-form block parameters violate
-the requested assortativity constraints, pay for a constrained solve.
-Since the constrained optimum never exceeds the unconstrained one, this
-filter never discards an improving constrained move.  All comparisons
-happen on the full-likelihood scale: profile values differ from it by the
-partition-independent constant ``profile_offset``, which makes
-unconstrained candidate scores directly comparable with constrained
-incumbents.
+from x*log(x) of the integer block counts, looked up in a list over 0..2m
+(a memo when edge weights are heavy); only candidates that would improve the
+current value, yet whose closed-form block parameters violate the requested
+assortativity constraints, pay for a constrained solve.  Since the constrained optimum never exceeds the
+unconstrained one, this filter never discards an improving constrained
+move.  All comparisons happen on the full-likelihood scale: profile values
+differ from it by the partition-independent constant ``profile_offset``,
+which makes unconstrained candidate scores directly comparable with
+constrained incumbents.
 
 Modularity objective: a candidate is taken iff it raises Q, decided
 exactly on integers by 2m(d_b - d_a) - k_i(kappa_b - kappa_a + k_i) > 0
@@ -39,8 +39,7 @@ import numpy as np
 
 from .core import (BlockStats, Graph, Partition, _check_move,
                    _relocate_stats, block_stats, edges_into_blocks)
-from .likelihood import (log_likelihood, modularity, omega_mle,
-                         profile_log_likelihood, profile_offset)
+from .likelihood import log_likelihood, modularity, omega_mle, profile_offset
 # is_feasible is unused here; it stays a module attribute for the benchmark.
 from .solver import AssortativityMode, OmegaSolution, _mle_feasible, \
     _on_null_plateau, is_feasible, solve_constrained  # noqa: F401
@@ -133,18 +132,36 @@ class FitResult:
         }
 
 
-def _h(v) -> float:
-    return v * math.log(v) if v > 0 else 0.0
+class _XLogX(dict):
+    """v*log(v) (0 at v = 0) of integer block counts, each computed once.
+
+    Its size is the number of distinct counts read, however heavy the edges.
+    """
+
+    def __missing__(self, v: int) -> float:
+        return self.setdefault(v, v * math.log(v) if v else 0.0)
 
 
-def _profile_from_caches(hm, hk) -> float:
-    return 0.5 * sum(sum(row) for row in hm) - sum(hk)
+def _xlogx(graph: Graph):
+    """x*log(x) lookups for one fit: every block count lies in 0..2m.
+
+    A list over 0..2m is the fastest lookup.  While the mean edge weight is
+    at most 4 it holds at most 8 entries per edge, about the graph's own
+    size; heavier graphs get the memo, which does not grow with the weights.
+    """
+    two_m = 2 * graph.total_weight
+    if two_m > 8 * len(graph.edges):
+        return _XLogX()
+    return [v * math.log(v) if v else 0.0 for v in range(two_m + 1)]
 
 
-def _delta_profile(m, kappa, hm, hk, d, ki, l2, a, b) -> float:
+def _profile(m, kappa, h) -> float:
+    return 0.5 * sum(sum(h[v] for v in row) for row in m) - sum(h[v] for v in kappa)
+
+
+def _delta_profile(m, kappa, h, d, ki, l2, a, b) -> float:
     """Profile change for moving a node from block a to b.  O(K)."""
     ma, mb = m[a], m[b]
-    hma, hmb = hm[a], hm[b]
     da, db = d[a], d[b]
     s = 0.0
     for r in range(len(kappa)):
@@ -152,23 +169,14 @@ def _delta_profile(m, kappa, hm, hk, d, ki, l2, a, b) -> float:
             continue
         dr = d[r]
         if dr:
-            s += (_h(ma[r] - dr) - hma[r]) + (_h(mb[r] + dr) - hmb[r])
+            s += (h[ma[r] - dr] - h[ma[r]]) + (h[mb[r] + dr] - h[mb[r]])
     s += s  # off-block cells change in both the row and the column
-    s += _h(ma[a] - 2 * da - l2) - hma[a]
-    s += _h(mb[b] + 2 * db + l2) - hmb[b]
-    s += 2.0 * (_h(ma[b] + da - db) - hma[b])
+    s += h[ma[a] - 2 * da - l2] - h[ma[a]]
+    s += h[mb[b] + 2 * db + l2] - h[mb[b]]
+    s += 2.0 * (h[ma[b] + da - db] - h[ma[b]])
     return (0.5 * s
-            - (_h(kappa[a] - ki) - hk[a])
-            - (_h(kappa[b] + ki) - hk[b]))
-
-
-def _refresh_caches(m, kappa, hm, hk, a, b) -> None:
-    """Recompute the x*log(x) caches of rows (and columns) a and b."""
-    for r in (a, b):
-        row, hrow = m[r], hm[r]
-        for s in range(len(row)):
-            hrow[s] = hm[s][r] = _h(row[s])
-        hk[r] = _h(kappa[r])
+            - (h[kappa[a] - ki] - h[kappa[a]])
+            - (h[kappa[b] + ki] - h[kappa[b]]))
 
 
 def delta_relocation(stats: BlockStats, graph: Graph, partition: Partition,
@@ -187,9 +195,7 @@ def delta_relocation(stats: BlockStats, graph: Graph, partition: Partition,
     """
     a = _check_move(partition, i, b)
     d = edges_into_blocks(graph, partition, i)
-    hm = [[_h(v) for v in row] for row in stats.m_block]
-    hk = [_h(v) for v in stats.kappa]
-    return _delta_profile(stats.m_block, stats.kappa, hm, hk, d,
+    return _delta_profile(stats.m_block, stats.kappa, _XLogX(), d,
                           graph.degree[i], graph.self_adjacency(i), a, b)
 
 
@@ -238,12 +244,11 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
     partition = Partition(k, assign)
     stats = block_stats(graph, partition)
     m, kappa, two_m = stats.m_block, stats.kappa, stats.two_m
-    hm = [[_h(v) for v in row] for row in m]
-    hk = [_h(v) for v in kappa]
+    h = _xlogx(graph)
     sizes = partition.block_sizes()
 
     offset = profile_offset(two_m)
-    prof = _profile_from_caches(hm, hk)
+    prof = _profile(m, kappa, h)
     n_solves = 0
     current_sol: OmegaSolution | None = None  # None means omega_mle is optimal
     if by_q:
@@ -270,16 +275,14 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
             a = assign[i]
             if sizes[a] == 1 and not by_q:
                 continue
-            d = [0] * k
-            for j, w in graph.neighbors(i):
-                d[assign[j]] += w
+            d = edges_into_blocks(graph, partition, i)
             ki = degree[i]
             l2 = graph.self_adjacency(i)
             for b in range(k):
                 if b == a:
                     continue
                 if not by_q and prof + _delta_profile(
-                        m, kappa, hm, hk, d, ki, l2, a, b) <= best - offset:
+                        m, kappa, h, d, ki, l2, a, b) <= best - offset:
                     filtered += 1
                     continue
                 # modularity change times (2m)^2 / 2
@@ -292,8 +295,7 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
                 if by_q:
                     ok, cand = True, modularity(stats)
                 else:
-                    _refresh_caches(m, kappa, hm, hk, a, b)
-                    prof_new = _profile_from_caches(hm, hk)
+                    prof_new = _profile(m, kappa, h)
                     cand = prof_new + offset
                     ok = cand > best
                 if ok and not _mle_feasible(stats, mode):
@@ -319,7 +321,6 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
                     a = b
                 else:
                     _relocate_stats(stats, d, ki, l2, b, a)
-                    _refresh_caches(m, kappa, hm, hk, a, b)
                     if accept_sol is None:
                         filtered += 1
 
@@ -372,7 +373,10 @@ def multi_start(graph: Graph, cfg: FitConfig, runs: int,
     if workers <= 1 or runs == 1:
         results = [fit(graph, c) for c in cfgs]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, runs)) as pool:
-            results = list(pool.map(_fit_task, [(graph, c) for c in cfgs]))
+        workers = min(workers, runs)
+        # ~4 chunks per worker: few round trips, yet unequal restarts even out
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_fit_task, [(graph, c) for c in cfgs],
+                                    chunksize=math.ceil(runs / (4 * workers))))
     results.sort(key=lambda r: (-r.objective_value, r.seed))
     return results

@@ -23,9 +23,10 @@ import pytest
 from acsbm import (AssortativityMode, ExperimentPlan, FitConfig, Graph,
                    Partition, block_stats, delta_relocation, is_feasible,
                    lambda_profile_oracle, load_edge_list, log_likelihood,
-                   multi_start, omega_mle, profile_log_likelihood,
-                   profile_offset, run_ppm_sweep, run_sbm_ensemble,
-                   solve_constrained)
+                   multi_start, nmi, omega_mle, profile_log_likelihood,
+                   profile_offset, read_labels, run_ppm_sweep,
+                   run_sbm_ensemble, solve_constrained)
+from acsbm.benchmark import MODEL_NAMES, model_fit_config
 from helpers import legal_moves, random_block_stats, random_graph, \
     random_partition
 
@@ -251,6 +252,23 @@ def test_criterion_7_monotone_traces_and_feasibility(ppm_sweep, sbm_ensemble):
             checked += 1
     report(7, True, f"{checked} ensemble runs: traces strictly increasing, "
                     "final omega feasible at 1e-6")
+
+
+def test_karate_club_best_split():
+    """The vendored karate club at K=2: every model's best-of-50 is the same
+    17/17 split, and strong and weak mode agree on average."""
+    data = Path(__file__).resolve().parent.parent / "benchmarks" / "data"
+    graph = load_edge_list(data / "karate.edges")
+    clubs = read_labels(data / "karate.labels")
+    for model in MODEL_NAMES:
+        best = multi_start(graph, model_fit_config(model, 2, 0), runs=50,
+                           workers=1)[0]
+        assert best.partition.block_sizes() == [17, 17], model
+        assert nmi(clubs, best.partition) == pytest.approx(0.6772, abs=1e-4)
+    for mode in (AssortativityMode.STRONG, AssortativityMode.WEAK):
+        fits = multi_start(graph, FitConfig(k=2, mode=mode), runs=200, workers=1)
+        mean = sum(r.log_likelihood for r in fits) / len(fits)
+        assert mean == pytest.approx(-58.42926, abs=1e-5), mode
 
 
 def _cats_cortex_path():

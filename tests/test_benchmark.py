@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,18 @@ class TestPlan:
         path.write_text(json.dumps(plan.to_dict()))
         loaded = ExperimentPlan.from_json(path)
         assert loaded == plan
+
+    def test_every_field_type_checked(self, tmp_path):
+        # every field holds a value of its own type (none is left None) and
+        # loads; a JSON object is the wrong type for each of them
+        plan = tiny_ppm_plan(graph_path="net.edges", workers=2)
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan.to_dict()))
+        assert ExperimentPlan.from_json(path) == plan
+        for key in plan.to_dict():
+            path.write_text(json.dumps({**plan.to_dict(), key: {}}))
+            with pytest.raises(ValueError, match=re.escape(repr(key))):
+                ExperimentPlan.from_json(path)
 
     def test_shipped_plans_parse(self):
         plans_dir = Path(__file__).resolve().parent.parent / "plans"

@@ -153,6 +153,20 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "solver_tol" in err
 
+    @pytest.mark.parametrize("plan, named", [
+        ([1, 2], "JSON object"),
+        ({"kind": "ppm-sweep", "runs": "5"}, "'runs'"),
+    ])
+    def test_badly_typed_plan_fails_cleanly(self, tmp_path, capsys, plan, named):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        rc = main(["bench", "ppm", "--plan", str(plan_path),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert not (tmp_path / "out").exists()
+
     def test_real_bench(self, tmp_path, capsys, triangle_pair):
         graph_path = tmp_path / "net.edges"
         write_edge_list(triangle_pair, graph_path)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,28 @@ class TestDeltaRelocation:
         for b in (0, -1, 2):
             with pytest.raises(ValueError):
                 delta_relocation(st, triangle_pair, triangle_split, 0, b)
+
+    def test_target_block_takes_every_edge_end(self):
+        # Each move leaves m_11 = kappa_1 = 2m, the largest count there is.
+        # Every fit of the one-edge graph reads it from the list over 0..2m;
+        # the heavy graph (mean edge weight 10000.5) uses the memo.
+        cases = [(Graph(3, [(0, 1, 1)]), Partition(2, [0, 1, 0])),
+                 (Graph(4, [(0, 1, 1), (1, 2, 20000)]), Partition(2, [0, 1, 1, 0]))]
+        for g, p in cases:
+            moved = p.copy()
+            moved.assign[0] = 1
+            assert block_stats(g, moved).m_block[1][1] == 2 * g.total_weight
+            expected = (profile_log_likelihood(block_stats(g, moved))
+                        - profile_log_likelihood(block_stats(g, p)))
+            assert delta_relocation(block_stats(g, p), g, p, 0, 1) == \
+                pytest.approx(expected, abs=1e-9)
+            for seed in range(4):
+                r = fit(g, FitConfig(k=2, seed=seed))
+                assert r.log_likelihood == pytest.approx(log_likelihood(
+                    block_stats(g, r.partition), r.omega), rel=1e-12)
+        g, p = cases[0]
+        assert delta_relocation(block_stats(g, p), g, p, 0, 1) == \
+            pytest.approx(-math.log(2), abs=1e-12)
 
 
 class TestFit:
@@ -137,6 +160,33 @@ class TestFit:
         st = block_stats(g, result.partition)
         assert result.log_likelihood == pytest.approx(
             profile_log_likelihood(st) + profile_offset(st.two_m), abs=1e-9)
+
+    def test_heavy_edge_weights(self, triangle_pair):
+        # A 10**9-weight edge makes 2m ~ 2e9: x*log(x) lookups must not grow
+        # with the weights, and fits and scores stay exact.
+        g = Graph(6, [*triangle_pair.edges, (2, 3, 10**9)])
+        models = [{}, {"mode": "strong"}, {"mode": "weak"},
+                  {"objective": "modularity"}]
+        tracemalloc.start()
+        try:
+            results = [fit(g, FitConfig(k=2, seed=s, **kw))
+                       for kw in models for s in range(3)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        for r in results:
+            assert is_feasible(r.omega, r.mode, 1e-9)
+            assert r.log_likelihood == pytest.approx(log_likelihood(
+                block_stats(g, r.partition), r.omega), rel=1e-12)
+        p = Partition(2, [0, 0, 0, 1, 1, 1])
+        before = profile_log_likelihood(block_stats(g, p))
+        for i, b in legal_moves(p):
+            q = p.copy()
+            q.assign[i] = b
+            after = profile_log_likelihood(block_stats(g, q))
+            assert delta_relocation(block_stats(g, p), g, p, i, b) == \
+                pytest.approx(after - before, abs=1e-12 * abs(before))
 
     def test_preconditions(self, triangle_pair):
         with pytest.raises(ValueError):
@@ -246,8 +296,9 @@ class TestMultiStart:
         rng = random.Random(89)
         g = random_graph(rng, 18, p=0.3)
         cfg = FitConfig(k=2, mode=AssortativityMode.STRONG, seed=7)
-        seq = multi_start(g, cfg, runs=4, workers=1)
-        par = multi_start(g, cfg, runs=4, workers=2)
+        # 12 runs on 2 workers go out in chunks of 2 fits
+        seq = multi_start(g, cfg, runs=12, workers=1)
+        par = multi_start(g, cfg, runs=12, workers=2)
         for rs, rp in zip(seq, par):
             assert rs.seed == rp.seed
             assert rs.trace == rp.trace
