@@ -81,6 +81,16 @@ class TestFit:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_sweeps", ["0", "-3"])
+    def test_max_sweeps_below_one_fails(self, capsys, triangles_file,
+                                        max_sweeps):
+        rc = main(["fit", "--graph", str(triangles_file), "--k", "2",
+                   "--max-sweeps", max_sweeps])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error:") and "max_sweeps" in err
+        assert "best" not in out
+
     def test_result_json_deterministic(self, tmp_path, triangles_file):
         args = ["fit", "--graph", str(triangles_file), "--k", "2",
                 "--model", "ac-dc-sbm", "--runs", "3", "--seed", "4"]

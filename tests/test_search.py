@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from acsbm import (AssortativityMode, EmptyBlockMoveError, FitConfig, Graph,
-                   Partition, block_stats, delta_relocation, fit, is_feasible,
+                   Partition, block_stats, delta_relocation,
+                   edges_into_blocks, fit, is_feasible,
                    log_likelihood, modularity, multi_start, nmi,
                    profile_log_likelihood, profile_offset)
 from helpers import legal_moves, random_graph, random_partition
@@ -188,11 +189,42 @@ class TestFit:
             assert delta_relocation(block_stats(g, p), g, p, i, b) == \
                 pytest.approx(after - before, abs=1e-12 * abs(before))
 
+    def test_fit_ends_at_local_optimum(self):
+        # Graphs with self-loops and merged parallel edges.  No move from
+        # the final partition may improve the objective, scored here from
+        # neighbour counts recounted by edges_into_blocks; fit itself reads
+        # them from its table of counts, which each accepted move updates.
+        rng = random.Random(107)
+        for trial in range(60):
+            n = rng.randint(6, 30)
+            k = (2, 3, 5)[trial % 3]
+            g = random_graph(rng, n, p=0.3, max_w=4, loops=True)
+            r = fit(g, FitConfig(k=k, seed=trial))
+            st = block_stats(g, r.partition)
+            tol = 1e-12 * (1 + abs(profile_log_likelihood(st)))
+            for i, b in legal_moves(r.partition):
+                assert delta_relocation(st, g, r.partition, i, b) <= tol, \
+                    (trial, i, b)
+            r = fit(g, FitConfig(k=k, seed=trial, objective="modularity"))
+            st = block_stats(g, r.partition)
+            kappa, two_m = st.kappa, st.two_m
+            for i, a in enumerate(r.partition.assign):
+                d = edges_into_blocks(g, r.partition, i)
+                ki = g.degree[i]
+                for b in range(k):
+                    if b != a:
+                        gain = (two_m * (d[b] - d[a])
+                                - ki * (kappa[b] - kappa[a] + ki))
+                        assert gain <= 0, (trial, i, b)
+
     def test_preconditions(self, triangle_pair):
         with pytest.raises(ValueError):
             fit(triangle_pair, FitConfig(k=7, seed=0))
         with pytest.raises(ValueError):
             fit(Graph(3, []), FitConfig(k=2, seed=0))
+        for max_sweeps in (0, -3):
+            with pytest.raises(ValueError, match="max_sweeps"):
+                FitConfig(k=2, max_sweeps=max_sweeps)
 
     def test_max_sweeps_caps_search(self):
         rng = random.Random(101)
