@@ -13,6 +13,12 @@ its unconstrained maximizer is omega_rs = m_rs / T_rs, and the profile form
 
 differs from L at the maximizer by the partition-independent constant
 ``profile_offset`` = m log(2m) - m.
+
+``_loglik`` and ``_mle_lists`` are the one list implementation of L and of
+m / T; the exact solves in ``acsbm.solver`` call them too.  L and P are
+summed by the correctly rounded ``math.fsum``, so relabelling the blocks
+leaves them unchanged bit for bit.  L is -inf iff some omega_rs = 0 has
+m_rs > 0.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ def _as_omega(omega, k: int) -> np.ndarray:
     w = np.asarray(omega, dtype=float)
     if w.shape != (k, k):
         raise ValueError(f"omega has shape {w.shape}, expected ({k}, {k})")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("omega entries must be finite")
     if not np.allclose(w, w.T, rtol=0.0, atol=1e-12):
         raise ValueError("omega must be symmetric")
     if np.any(w < 0):
@@ -43,21 +51,38 @@ def _as_omega(omega, k: int) -> np.ndarray:
     return w
 
 
+def _mle_lists(stats: BlockStats) -> tuple[list[list[float]], list[list[float]]]:
+    """Nested lists of T_rs = kappa_r kappa_s / 2m and m_rs / T_rs (or 0)."""
+    two_m = float(stats.two_m)
+    kappa = [float(v) for v in stats.kappa]
+    t = [[kr * ks / two_m for ks in kappa] for kr in kappa]
+    ratio = [[mrs / trs if trs > 0 else 0.0 for mrs, trs in zip(row, t_row)]
+             for row, t_row in zip(stats.m_block, t)]
+    return t, ratio
+
+
+def _loglik(m, t, omega) -> float:
+    """L(Omega) on nested lists of m_rs, T_rs and finite omega_rs >= 0."""
+    terms = []
+    for m_row, t_row, w_row in zip(m, t, omega):
+        for mrs, trs, w in zip(m_row, t_row, w_row):
+            if mrs:
+                if w == 0.0:
+                    return -math.inf
+                terms.append(mrs * math.log(w))
+            terms.append(-trs * w)
+    return 0.5 * math.fsum(terms)
+
+
 def log_likelihood(stats: BlockStats, omega) -> float:
     """Log-likelihood (up to the Z-independent factorial terms) at Omega.
 
     Returns ``-inf`` when some omega_rs is zero while m_rs > 0; pairs with
-    m_rs = 0 contribute only their -T_rs omega_rs penalty.
+    m_rs = 0 contribute only their -T_rs omega_rs penalty.  Raises
+    ValueError unless Omega is symmetric K x K, finite and nonnegative.
     """
     w = _as_omega(omega, stats.k)
-    m = stats.m_matrix().astype(float)
-    t = stats.t_block
-    pos = m > 0
-    if np.any(pos & (w == 0)):
-        return float("-inf")
-    log_part = np.zeros_like(w)
-    log_part[pos] = m[pos] * np.log(w[pos])
-    return 0.5 * float(np.sum(log_part) - np.sum(t * w))
+    return _loglik(stats.m_block, _mle_lists(stats)[0], w.tolist())
 
 
 def omega_mle(stats: BlockStats) -> np.ndarray:
@@ -66,11 +91,7 @@ def omega_mle(stats: BlockStats) -> np.ndarray:
     Entries whose T_rs vanishes (a block with zero degree sum) are set to 0;
     they carry no likelihood terms.
     """
-    m = stats.m_matrix().astype(float)
-    t = stats.t_block
-    out = np.zeros_like(m)
-    np.divide(m, t, out=out, where=t > 0)
-    return out
+    return np.array(_mle_lists(stats)[1])
 
 
 def profile_log_likelihood(stats: BlockStats) -> float:
@@ -79,14 +100,11 @@ def profile_log_likelihood(stats: BlockStats) -> float:
     Differences of this value between partitions of the same graph equal the
     corresponding differences of ``log_likelihood(stats, omega_mle(stats))``.
     """
-    total = 0.0
     kappa = stats.kappa
-    for r, row in enumerate(stats.m_block):
-        kr = kappa[r]
-        for s, mrs in enumerate(row):
-            if mrs > 0:
-                total += mrs * math.log(mrs / (kr * kappa[s]))
-    return 0.5 * total
+    return 0.5 * math.fsum(
+        mrs * math.log(mrs / (kappa[r] * kappa[s]))
+        for r, row in enumerate(stats.m_block)
+        for s, mrs in enumerate(row) if mrs > 0)
 
 
 def profile_offset(two_m: int) -> float:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .solver import AssortativityMode, is_feasible
+from .solver import AssortativityMode, _assortative_row, _finite_rows, is_feasible
 
 __all__ = [
     "contingency_table",
@@ -63,16 +63,10 @@ def nmi(p, q) -> float:
 
 def count_assortative_communities(omega, tol: float = 1e-8) -> int:
     """Number of blocks whose diagonal dominates its row (within tol)."""
-    w = np.asarray(omega, dtype=float)
-    k = w.shape[0]
-    if k == 1:
+    rows = _finite_rows(omega)
+    if len(rows) == 1:
         return 1
-    count = 0
-    for q in range(k):
-        row = np.delete(w[q], q)
-        if w[q, q] >= np.max(row) - tol:
-            count += 1
-    return count
+    return sum(_assortative_row(row, q, tol) for q, row in enumerate(rows))
 
 
 def assortativity_level(omega, tol: float = 1e-8) -> AssortativityMode:

@@ -15,12 +15,12 @@ lambda every entry has a closed form, and the optimal lambda follows from a
 walk over the sorted entry ratios m_rs / T_rs, between which the profile's
 derivative is A/lambda - B.  Weak mode: the optimum is the isotonic
 regression of the ratios weighted by T, whose level sets a series of minimum
-cuts finds.  Both run on Python lists, the strong path on ratios equal to
-``omega_mle``'s bit for bit, and use numpy only to sum the objective and
-wrap the returned omega: at a fit's block counts numpy's per-call overhead
-dominates.  The search tests each candidate's closed form on the same
-lists.  ``lambda_profile_oracle`` solves strong mode by a golden-section
-search over lambda, to cross-check the exact solve in tests.
+cuts finds.  Both run on Python lists, with ratios and objective from
+``acsbm.likelihood``'s list kernels; numpy only wraps the returned omega,
+as at a fit's block counts its per-call overhead dominates.  ``_feasible``
+is the one constraint test: ``is_feasible`` applies it to a given omega and
+the search to each candidate's closed form.  ``lambda_profile_oracle``
+solves strong mode by golden-section search, to cross-check it in tests.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .core import BlockStats
-from .likelihood import log_likelihood, omega_mle
+from .likelihood import _loglik, _mle_lists, log_likelihood, omega_mle
 
 __all__ = [
     "AssortativityMode",
@@ -70,42 +70,39 @@ class OmegaSolution:
     converged: bool = True
 
 
-def is_feasible(omega, mode: AssortativityMode, tol: float = 0.0) -> bool:
-    """Check the assortativity constraints of ``mode`` up to ``tol``."""
-    mode = AssortativityMode(mode)
-    if mode is AssortativityMode.NONE:
+def _assortative_row(row: list[float], q: int, tol: float) -> bool:
+    """Whether row q's diagonal entry dominates the rest of the row."""
+    return row[q] >= max(row[:q] + row[q + 1:]) - tol
+
+
+def _feasible(rows, mode: AssortativityMode, tol: float = 0.0) -> bool:
+    """The constraints of ``mode``, up to ``tol``, on a nested-list omega."""
+    if mode is AssortativityMode.NONE or len(rows) <= 1:
         return True
-    w = np.asarray(omega, dtype=float)
-    k = w.shape[0]
-    if k <= 1:
-        return True
-    off = ~np.eye(k, dtype=bool)
     if mode is AssortativityMode.STRONG:
-        return bool(np.min(np.diag(w)) >= np.max(w[off]) - tol)
-    return not any(w[q, q] < np.max(np.delete(w[q], q)) - tol for q in range(k))
+        return min(row[q] for q, row in enumerate(rows)) >= max(
+            x for r, row in enumerate(rows) for s, x in enumerate(row)
+            if r != s) - tol
+    return all(_assortative_row(row, q, tol) for q, row in enumerate(rows))
 
 
-def _mle_lists(stats: BlockStats) -> tuple[list[list[float]], list[list[float]]]:
-    """T_rs and m_rs / T_rs as nested lists, by the float operations of
-    ``omega_mle`` in its order, so each ratio equals its entry bit for bit."""
-    two_m = float(stats.two_m)
-    kappa = [float(v) for v in stats.kappa]
-    t = [[kr * ks / two_m for ks in kappa] for kr in kappa]
-    ratio = [[mrs / trs if trs > 0 else 0.0 for mrs, trs in zip(row, t_row)]
-             for row, t_row in zip(stats.m_block, t)]
-    return t, ratio
+def _finite_rows(omega) -> list[list[float]]:
+    w = np.asarray(omega, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("omega entries must be finite")
+    return w.tolist()
+
+
+def is_feasible(omega, mode: AssortativityMode, tol: float = 0.0) -> bool:
+    """Check the assortativity constraints of ``mode`` up to ``tol``;
+    a non-finite entry of omega raises ValueError."""
+    return _feasible(_finite_rows(omega), AssortativityMode(mode), tol)
 
 
 def _mle_feasible(stats: BlockStats, mode: AssortativityMode) -> bool:
-    """``is_feasible(omega_mle(stats), mode, 0.0)``, computed on lists."""
-    if mode is AssortativityMode.NONE or stats.k <= 1:
-        return True
-    ratio = _mle_lists(stats)[1]
-    if mode is AssortativityMode.STRONG:
-        return min(row[q] for q, row in enumerate(ratio)) >= max(
-            x for r, row in enumerate(ratio) for s, x in enumerate(row) if r != s)
-    return all(row[q] >= max(row[:q] + row[q + 1:])
-               for q, row in enumerate(ratio))
+    """``is_feasible(omega_mle(stats), mode, 0.0)``, without numpy."""
+    return mode is AssortativityMode.NONE or stats.k <= 1 or _feasible(
+        _mle_lists(stats)[1], mode)
 
 
 def solve_constrained(stats: BlockStats, mode: AssortativityMode) -> OmegaSolution:
@@ -117,8 +114,8 @@ def solve_constrained(stats: BlockStats, mode: AssortativityMode) -> OmegaSoluti
     solved exactly by a walk over the sorted entry ratios, and weak mode
     exactly as an isotonic regression split by minimum cuts, which leaves
     the entries of blocks with zero degree sum at 0.  Both solves run on
-    Python lists; numpy only sums their objective and wraps the returned
-    omega.
+    Python lists and score their omega with ``likelihood._loglik``; numpy
+    only wraps the returned omega.
 
     Raises
     ------
@@ -184,18 +181,8 @@ def _solve_strong_exact(stats: BlockStats) -> OmegaSolution:
     for r in range(k):
         omega[r][r] = max(ratio[r][r], lam)
     return OmegaSolution(omega=np.array(omega), lam=lam,
-                         objective=_objective(m, t, omega),
+                         objective=_loglik(m, t, omega),
                          kkt_residual=0.0, iterations=crossed)
-
-
-def _objective(m, t, omega) -> float:
-    """``log_likelihood`` on lists; numpy sums the terms, in its order."""
-    log_part, t_part = [], []
-    for m_row, t_row, w_row in zip(m, t, omega):
-        for mrs, trs, w in zip(m_row, t_row, w_row):
-            log_part.append(mrs * math.log(w) if mrs else 0.0)
-            t_part.append(trs * w)
-    return 0.5 * float(np.add.reduce(log_part) - np.add.reduce(t_part))
 
 
 def _max_closure(gains, above) -> list[int]:
@@ -267,8 +254,8 @@ def _solve_weak_exact(stats: BlockStats) -> OmegaSolution:
             r, s = cells[i]
             omega[r][s] = omega[s][r] = c
     return OmegaSolution(omega=np.array(omega), lam=0.0,
-                         objective=_objective(stats.m_block,
-                                              _mle_lists(stats)[0], omega),
+                         objective=_loglik(stats.m_block,
+                                           _mle_lists(stats)[0], omega),
                          kkt_residual=0.0, iterations=splits)
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from acsbm import BlockStats, Graph, Partition
 
 
@@ -50,3 +52,17 @@ def legal_moves(partition: Partition) -> list[tuple[int, int]]:
     return [(i, b)
             for i, a in enumerate(partition.assign) if sizes[a] > 1
             for b in range(partition.k) if b != a]
+
+
+def numpy_log_likelihood(stats: BlockStats, omega) -> float:
+    """Reference log-likelihood in numpy, sharing no code with
+    ``acsbm.likelihood``: -inf if some omega_rs = 0 while m_rs > 0."""
+    w = np.asarray(omega, dtype=float)
+    m = stats.m_matrix().astype(float)
+    t = stats.t_block
+    pos = m > 0
+    if np.any(pos & (w == 0)):
+        return float("-inf")
+    log_part = np.zeros_like(w)
+    log_part[pos] = m[pos] * np.log(w[pos])
+    return 0.5 * float(np.sum(log_part) - np.sum(t * w))
