@@ -1,8 +1,12 @@
 """Experiment orchestration: seeded sweeps and ensembles with CSV output.
 
 Instance seeds and fit seeds are drawn from separate counters so every
-model faces identical graphs.  Row ordering is fixed by sort keys, so a
-plan with the same seeds always produces byte-identical CSV files,
+model faces identical graphs.  The runners share one path to artifacts:
+``_fit_models`` multi-starts each model, ``_records`` builds each restart's
+run record once, and ``_write_runs`` sorts the records by (instance, model,
+run), projects the CSV rows from them and hands every file to ``_write``,
+which adds a manifest listing exactly the files written.  So a plan with
+the same seeds always produces byte-identical CSV and JSONL files,
 regardless of worker scheduling.  Statistics beyond the per-run rows
 (significance tests etc.) are left to downstream tools.
 """
@@ -10,6 +14,7 @@ regardless of worker scheduling.  Statistics beyond the per-run rows
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -97,7 +102,7 @@ class ExperimentPlan:
     quantile: float = 0.10
     graph_path: str | None = None
     index_base: int = 0
-    workers: int | None = None
+    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.kind not in ("ppm-sweep", "sbm-ensemble", "real-network"):
@@ -139,18 +144,23 @@ class ExperimentPlan:
         return d
 
 
-def _fit_ensemble(graph: Graph, model: str, plan: ExperimentPlan) -> list[FitResult]:
-    cfg = model_fit_config(model, plan.k, plan.fit_seed)
-    return multi_start(graph, cfg, plan.runs, workers=plan.workers)
+def _fit_models(plan: ExperimentPlan, graph: Graph,
+                k: int) -> list[tuple[str, list[FitResult]]]:
+    """Each model of the plan with its multi_start results, best first."""
+    return [(model, multi_start(graph, model_fit_config(model, k, plan.fit_seed),
+                                plan.runs, workers=plan.workers))
+            for model in plan.models]
 
 
-def _run_record(result: FitResult, truth=None) -> dict:
-    rec = result.to_dict()
-    if truth is not None:
-        rec["nmi"] = nmi(truth, result.partition)
-    rec["assortative_count"] = count_assortative_communities(
-        result.omega, FEASIBILITY_TOL)
-    return rec
+def _records(results: list[FitResult], plan: ExperimentPlan, truth,
+             **tags) -> list[dict]:
+    """The run record of each restart: ``FitResult.to_dict()`` with its NMI
+    against ``truth``, its assortative-block count, its run index and tags."""
+    return [{**result.to_dict(), "nmi": nmi(truth, result.partition),
+             "assortative_count": count_assortative_communities(
+                 result.omega, FEASIBILITY_TOL),
+             "run": result.seed - plan.fit_seed, **tags}
+            for result in results]
 
 
 def run_ppm_sweep(plan: ExperimentPlan, out_dir=None) -> list[dict]:
@@ -158,38 +168,19 @@ def run_ppm_sweep(plan: ExperimentPlan, out_dir=None) -> list[dict]:
 
     Returns one row per (ratio, model, run) with keys
     (ratio, model, run, nmi, loglik); optionally persists row CSV, per-run
-    JSONL payloads and a manifest under ``out_dir``.
+    JSONL records and a manifest under ``out_dir``.
     """
-    rows: list[dict] = []
-    payloads: list[dict] = []
+    records: list[dict] = []
     for idx, ratio in enumerate(sorted(plan.ratios)):
         spec = PpmSpec(n=plan.n, k=plan.k, avg_degree=plan.avg_degree,
                        ratio=ratio, seed=plan.instance_seed + idx)
         graph, truth = generate_ppm(spec)
-        for model in plan.models:
-            for result in _fit_ensemble(graph, model, plan):
-                run = result.seed - plan.fit_seed
-                score = nmi(truth, result.partition)
-                rows.append({"ratio": ratio, "model": model, "run": run,
-                             "nmi": score, "loglik": result.log_likelihood})
-                payload = _run_record(result, truth)
-                payload.update(experiment="ppm-sweep", ratio=ratio,
-                               model=model, run=run,
-                               instance_seed=spec.seed)
-                payloads.append(payload)
-    rows.sort(key=lambda r: (r["ratio"], r["model"], r["run"]))
-    payloads.sort(key=lambda r: (r["ratio"], r["model"], r["run"]))
-    if out_dir is not None:
-        _persist(out_dir, plan, "ppm_sweep.csv",
-                 ["ratio", "model", "run", "nmi", "loglik"], rows, payloads)
-    return rows
-
-
-def _top_quantile_mean(results_rows: list[dict], quantile: float) -> float:
-    """Mean NMI of the best-likelihood fraction of rows."""
-    take = max(1, math.ceil(quantile * len(results_rows)))
-    ordered = sorted(results_rows, key=lambda r: (-r["objective"], r["run"]))
-    return float(np.mean([r["nmi"] for r in ordered[:take]]))
+        for model, results in _fit_models(plan, graph, plan.k):
+            records += _records(results, plan, truth, experiment="ppm-sweep",
+                                ratio=ratio, model=model,
+                                instance_seed=spec.seed)
+    return _write_runs(out_dir, plan, records, "ppm_sweep.csv",
+                       ["ratio", "model", "run", "nmi", "loglik"])
 
 
 def run_sbm_ensemble(plan: ExperimentPlan, out_dir=None) -> list[dict]:
@@ -200,50 +191,31 @@ def run_sbm_ensemble(plan: ExperimentPlan, out_dir=None) -> list[dict]:
     with per-(dataset, model) medians and the top-quantile mean NMI is
     written alongside the per-run rows.
     """
-    rows: list[dict] = []
-    payloads: list[dict] = []
+    records: list[dict] = []
     summary: list[dict] = []
     for d in range(plan.datasets):
         spec = SbmSpec(n=plan.n, k=plan.k, diag_range=plan.diag_range,
                        offdiag_range=plan.offdiag_range,
                        seed=plan.instance_seed + d)
         graph, truth, planted = generate_sbm(spec)
-        for model in plan.models:
-            model_rows = []
-            for result in _fit_ensemble(graph, model, plan):
-                run = result.seed - plan.fit_seed
-                score = nmi(truth, result.partition)
-                count = count_assortative_communities(result.omega,
-                                                      FEASIBILITY_TOL)
-                rows.append({"dataset": d, "model": model, "run": run,
-                             "nmi": score, "loglik": result.log_likelihood,
-                             "assortative_count": count})
-                model_rows.append({"run": run, "nmi": score,
-                                   "objective": result.objective_value})
-                payload = _run_record(result, truth)
-                payload.update(experiment="sbm-ensemble", dataset=d,
-                               model=model, run=run, instance_seed=spec.seed,
-                               planted_omega=planted.tolist())
-                payloads.append(payload)
-            summary.append({
-                "dataset": d,
-                "model": model,
-                "median_nmi": float(np.median([r["nmi"] for r in model_rows])),
-                "mean_nmi": float(np.mean([r["nmi"] for r in model_rows])),
-                "top_quantile_mean_nmi": _top_quantile_mean(model_rows,
-                                                            plan.quantile),
-            })
-    rows.sort(key=lambda r: (r["dataset"], r["model"], r["run"]))
-    payloads.sort(key=lambda r: (r["dataset"], r["model"], r["run"]))
+        for model, results in _fit_models(plan, graph, plan.k):
+            recs = _records(results, plan, truth, experiment="sbm-ensemble",
+                            dataset=d, model=model, instance_seed=spec.seed,
+                            planted_omega=planted.tolist())
+            # results come best first, so the top quantile is a prefix
+            scores = [r["nmi"] for r in recs]
+            top = scores[:max(1, math.ceil(plan.quantile * len(scores)))]
+            summary.append({"dataset": d, "model": model,
+                            "median_nmi": float(np.median(scores)),
+                            "mean_nmi": float(np.mean(scores)),
+                            "top_quantile_mean_nmi": float(np.mean(top))})
+            records += recs
     summary.sort(key=lambda r: (r["dataset"], r["model"]))
-    if out_dir is not None:
-        _persist(out_dir, plan, "sbm_ensemble.csv",
-                 ["dataset", "model", "run", "nmi", "loglik",
-                  "assortative_count"], rows, payloads)
-        _write_csv(Path(out_dir) / "sbm_summary.csv",
-                   ["dataset", "model", "median_nmi", "mean_nmi",
-                    "top_quantile_mean_nmi"], summary)
-    return rows
+    table = _csv(["dataset", "model", "median_nmi", "mean_nmi",
+                  "top_quantile_mean_nmi"], summary)
+    return _write_runs(out_dir, plan, records, "sbm_ensemble.csv",
+                       ["dataset", "model", "run", "nmi", "loglik",
+                        "assortative_count"], {"sbm_summary.csv": table})
 
 
 def run_real(plan: ExperimentPlan, graph_path=None, k: int | None = None,
@@ -252,7 +224,8 @@ def run_real(plan: ExperimentPlan, graph_path=None, k: int | None = None,
 
     The report carries, per model, the winning run's block parameters with
     their diagonal minimum / off-diagonal maximum, the achieved
-    assortativity level, and the block sizes.
+    assortativity level, and the block sizes.  No ground truth exists, so
+    no per-run records (``runs.jsonl``) are written.
     """
     path = graph_path or plan.graph_path
     if path is None:
@@ -263,14 +236,10 @@ def run_real(plan: ExperimentPlan, graph_path=None, k: int | None = None,
     report: dict = {"graph": str(path), "n": graph.n,
                     "total_weight": graph.total_weight, "k": k, "models": {}}
     rows: list[dict] = []
-    for model in plan.models:
-        cfg = model_fit_config(model, k, plan.fit_seed)
-        results = multi_start(graph, cfg, plan.runs, workers=plan.workers)
-        for result in results:
-            rows.append({"model": model, "run": result.seed - plan.fit_seed,
-                         "loglik": result.log_likelihood,
-                         "modularity": result.modularity,
-                         "sweeps": result.sweeps})
+    for model, results in _fit_models(plan, graph, k):
+        rows += [{"model": model, "run": r.seed - plan.fit_seed,
+                  "loglik": r.log_likelihood, "modularity": r.modularity,
+                  "sweeps": r.sweeps} for r in results]
         best = results[0]
         omega = best.omega
         off = ~np.eye(omega.shape[0], dtype=bool)
@@ -290,42 +259,54 @@ def run_real(plan: ExperimentPlan, graph_path=None, k: int | None = None,
         }
     rows.sort(key=lambda r: (r["model"], r["run"]))
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "real_runs.csv",
-                   ["model", "run", "loglik", "modularity", "sweeps"], rows)
-        with open(out / "real_report.json", "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_manifest(out, plan, ["real_runs.csv", "real_report.json"])
+        _write(out_dir, plan, {
+            "real_runs.csv": _csv(["model", "run", "loglik", "modularity",
+                                   "sweeps"], rows),
+            "real_report.json": _json(report)})
     return report
 
 
-def _write_csv(path: Path, fields: list[str], rows: list[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([repr(float(row[f])) if isinstance(row[f], float)
-                             else row[f] for f in fields])
+def _csv(fields: list[str], rows: list[dict]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
+    for row in rows:
+        writer.writerow([repr(float(row[f])) if isinstance(row[f], float)
+                         else row[f] for f in fields])
+    return buf.getvalue()
 
 
-def _write_manifest(out: Path, plan: ExperimentPlan, artifacts: list[str]) -> None:
-    manifest = {"version": __version__, "plan": plan.to_dict(),
-                "artifacts": sorted(artifacts)}
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
-def _persist(out_dir, plan: ExperimentPlan, csv_name: str, fields: list[str],
-             rows: list[dict], payloads: list[dict]) -> None:
+def _write_runs(out_dir, plan: ExperimentPlan, records: list[dict],
+                csv_name: str, fields: list[str],
+                tables: dict[str, str] | None = None) -> list[dict]:
+    """Sort the run records by (instance, model, run) and return the CSV rows
+    projected from them (``loglik`` is ``log_likelihood``).  Under
+    ``out_dir``, write the CSV, the records as ``runs.jsonl`` and ``tables``.
+    """
+    records.sort(key=lambda r: (r[fields[0]], r["model"], r["run"]))
+    rows = [{f: r["log_likelihood" if f == "loglik" else f] for f in fields}
+            for r in records]
+    if out_dir is not None:
+        _write(out_dir, plan, {
+            csv_name: _csv(fields, rows),
+            "runs.jsonl": "".join(json.dumps(r, sort_keys=True) + "\n"
+                                  for r in records),
+            **(tables or {})})
+    return rows
+
+
+def _write(out_dir, plan: ExperimentPlan, files: dict[str, str]) -> None:
+    """Write each named text under ``out_dir``, then ``manifest.json``: the
+    plan and the sorted names of exactly the files written, itself included."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / csv_name, fields, rows)
-    with open(out / "runs.jsonl", "w", encoding="utf-8") as fh:
-        for payload in payloads:
-            fh.write(json.dumps(payload, sort_keys=True))
-            fh.write("\n")
-    _write_manifest(out, plan, [csv_name, "runs.jsonl", "manifest.json"])
+    files["manifest.json"] = _json({"version": __version__,
+                                    "plan": plan.to_dict(),
+                                    "artifacts": sorted([*files, "manifest.json"])})
+    for name, text in files.items():
+        with open(out / name, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)

@@ -154,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--runs", type=int, default=1)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--max-sweeps", type=int, default=None)
-    g.add_argument("--workers", type=int, default=None,
-                   help="parallel runs (default from ACSBM_WORKERS, else 1)")
+    g.add_argument("--workers", type=int, default=1,
+                   help="processes to spread the runs over (default 1)")
     g.add_argument("--one-based", action="store_true",
                    help="input file uses 1-based node ids")
     g.add_argument("--out", default=None, help="result JSON path")

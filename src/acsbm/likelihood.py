@@ -14,8 +14,10 @@ its unconstrained maximizer is omega_rs = m_rs / T_rs, and the profile form
 differs from L at the maximizer by the partition-independent constant
 ``profile_offset`` = m log(2m) - m.
 
-``_loglik`` and ``_mle_lists`` are the one list implementation of L and of
-m / T; the exact solves in ``acsbm.solver`` call them too.  L and P are
+``_loglik``, ``_expected`` and ``_mle_lists`` are the one list
+implementation of L, of T and of m / T; the exact solves in
+``acsbm.solver`` call them too.  ``_as_omega`` is the one validation of a
+given Omega, here, in ``is_feasible`` and in the metrics.  L and P are
 summed by the correctly rounded ``math.fsum``, so relabelling the blocks
 leaves them unchanged bit for bit.  L is -inf iff some omega_rs = 0 has
 m_rs > 0.
@@ -38,8 +40,12 @@ __all__ = [
 ]
 
 
-def _as_omega(omega, k: int) -> np.ndarray:
+def _as_omega(omega, k: int | None = None) -> np.ndarray:
+    """omega as a float array once it is checked square (K x K when ``k`` is
+    given), finite, symmetric and nonnegative; ValueError otherwise."""
     w = np.asarray(omega, dtype=float)
+    if k is None:
+        k = w.shape[0] if w.ndim else 1
     if w.shape != (k, k):
         raise ValueError(f"omega has shape {w.shape}, expected ({k}, {k})")
     if not np.all(np.isfinite(w)):
@@ -51,11 +57,16 @@ def _as_omega(omega, k: int) -> np.ndarray:
     return w
 
 
-def _mle_lists(stats: BlockStats) -> tuple[list[list[float]], list[list[float]]]:
-    """Nested lists of T_rs = kappa_r kappa_s / 2m and m_rs / T_rs (or 0)."""
+def _expected(stats: BlockStats) -> list[list[float]]:
+    """Nested lists of T_rs = kappa_r kappa_s / 2m."""
     two_m = float(stats.two_m)
     kappa = [float(v) for v in stats.kappa]
-    t = [[kr * ks / two_m for ks in kappa] for kr in kappa]
+    return [[kr * ks / two_m for ks in kappa] for kr in kappa]
+
+
+def _mle_lists(stats: BlockStats) -> tuple[list[list[float]], list[list[float]]]:
+    """Nested lists of T_rs (``_expected``) and m_rs / T_rs (or 0)."""
+    t = _expected(stats)
     ratio = [[mrs / trs if trs > 0 else 0.0 for mrs, trs in zip(row, t_row)]
              for row, t_row in zip(stats.m_block, t)]
     return t, ratio
@@ -82,7 +93,7 @@ def log_likelihood(stats: BlockStats, omega) -> float:
     ValueError unless Omega is symmetric K x K, finite and nonnegative.
     """
     w = _as_omega(omega, stats.k)
-    return _loglik(stats.m_block, _mle_lists(stats)[0], w.tolist())
+    return _loglik(stats.m_block, _expected(stats), w.tolist())
 
 
 def omega_mle(stats: BlockStats) -> np.ndarray:

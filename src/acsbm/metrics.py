@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .solver import AssortativityMode, _assortative_row, _finite_rows, is_feasible
+from .likelihood import _as_omega
+from .solver import AssortativityMode, _assortative_row, is_feasible
 
 __all__ = [
     "contingency_table",
@@ -62,8 +63,9 @@ def nmi(p, q) -> float:
 
 
 def count_assortative_communities(omega, tol: float = 1e-8) -> int:
-    """Number of blocks whose diagonal dominates its row (within tol)."""
-    rows = _finite_rows(omega)
+    """Number of blocks whose diagonal dominates its row (within tol); omega
+    must be square, finite, symmetric and nonnegative (else ValueError)."""
+    rows = _as_omega(omega).tolist()
     if len(rows) == 1:
         return 1
     return sum(_assortative_row(row, q, tol) for q, row in enumerate(rows))

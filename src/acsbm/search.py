@@ -35,7 +35,6 @@ higher.
 from __future__ import annotations
 
 import math
-import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -55,10 +54,7 @@ __all__ = [
     "fit",
     "delta_relocation",
     "multi_start",
-    "WORKERS_ENV_VAR",
 ]
-
-WORKERS_ENV_VAR = "ACSBM_WORKERS"
 
 OBJECTIVE_LIKELIHOOD = "likelihood"
 OBJECTIVE_MODULARITY = "modularity"
@@ -368,27 +364,20 @@ def _fit_task(args) -> FitResult:
     return fit(graph, cfg)
 
 
-def default_workers() -> int:
-    """Worker count from the environment (default 1, i.e. sequential)."""
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV_VAR, "1")))
-    except ValueError:
-        return 1
-
-
 def multi_start(graph: Graph, cfg: FitConfig, runs: int,
-                workers: int | None = None) -> list[FitResult]:
-    """Independent fits with seeds cfg.seed .. cfg.seed + runs - 1.
+                workers: int = 1) -> list[FitResult]:
+    """Independent fits with seeds cfg.seed .. cfg.seed + runs - 1, on
+    ``workers`` processes (1: sequentially, in this process).
 
     Results are sorted by the run objective (descending), ties broken by
     seed, so the ordering is deterministic regardless of worker scheduling.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     cfgs = [replace(cfg, seed=cfg.seed + r) for r in range(runs)]
-    if workers is None:
-        workers = default_workers()
-    if workers <= 1 or runs == 1:
+    if workers == 1 or runs == 1:
         results = [fit(graph, c) for c in cfgs]
     else:
         workers = min(workers, runs)

@@ -32,7 +32,8 @@ from enum import Enum
 import numpy as np
 
 from .core import BlockStats
-from .likelihood import _loglik, _mle_lists, log_likelihood, omega_mle
+from .likelihood import (_as_omega, _loglik, _mle_lists, log_likelihood,
+                         omega_mle)
 
 __all__ = [
     "AssortativityMode",
@@ -86,17 +87,10 @@ def _feasible(rows, mode: AssortativityMode, tol: float = 0.0) -> bool:
     return all(_assortative_row(row, q, tol) for q, row in enumerate(rows))
 
 
-def _finite_rows(omega) -> list[list[float]]:
-    w = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("omega entries must be finite")
-    return w.tolist()
-
-
 def is_feasible(omega, mode: AssortativityMode, tol: float = 0.0) -> bool:
-    """Check the assortativity constraints of ``mode`` up to ``tol``;
-    a non-finite entry of omega raises ValueError."""
-    return _feasible(_finite_rows(omega), AssortativityMode(mode), tol)
+    """Check the assortativity constraints of ``mode`` up to ``tol``; omega
+    must be square, finite, symmetric and nonnegative (else ValueError)."""
+    return _feasible(_as_omega(omega).tolist(), AssortativityMode(mode), tol)
 
 
 def _mle_feasible(stats: BlockStats, mode: AssortativityMode) -> bool:
@@ -113,9 +107,10 @@ def solve_constrained(stats: BlockStats, mode: AssortativityMode) -> OmegaSoluti
     with a valid threshold and no iterations.  Otherwise strong mode is
     solved exactly by a walk over the sorted entry ratios, and weak mode
     exactly as an isotonic regression split by minimum cuts, which leaves
-    the entries of blocks with zero degree sum at 0.  Both solves run on
-    Python lists and score their omega with ``likelihood._loglik``; numpy
-    only wraps the returned omega.
+    the entries of blocks with zero degree sum at 0.  The lists of T and of
+    the ratios are built once per call; every branch runs on them and
+    scores its omega with ``likelihood._loglik``, and numpy only wraps the
+    returned omega.
 
     Raises
     ------
@@ -126,23 +121,23 @@ def solve_constrained(stats: BlockStats, mode: AssortativityMode) -> OmegaSoluti
     if stats.two_m <= 0 or all(v == 0 for row in stats.m_block for v in row):
         raise ValueError("all block edge counts are zero")
 
+    t, ratio = _mle_lists(stats)
     if mode is AssortativityMode.STRONG and stats.k > 1:
-        return _solve_strong_exact(stats)
-    if not _mle_feasible(stats, mode):
-        return _solve_weak_exact(stats)
+        return _solve_strong_exact(stats, t, ratio)
+    if not _feasible(ratio, mode):
+        return _solve_weak_exact(stats, t)
     # mode NONE, a single block, or a weakly assortative closed form
-    w = omega_mle(stats)
-    lam = float(w[0, 0]) if stats.k == 1 and mode is not AssortativityMode.NONE else 0.0
-    return OmegaSolution(omega=w, lam=lam, objective=log_likelihood(stats, w),
+    lam = ratio[0][0] if stats.k == 1 and mode is not AssortativityMode.NONE else 0.0
+    return OmegaSolution(omega=np.array(ratio), lam=lam,
+                         objective=_loglik(stats.m_block, t, ratio),
                          kkt_residual=0.0, iterations=0)
 
 
-def _solve_strong_exact(stats: BlockStats) -> OmegaSolution:
+def _solve_strong_exact(stats: BlockStats, t, ratio) -> OmegaSolution:
     # For fixed lam, omega_qq = max(ratio_qq, lam), omega_rs = min(ratio_rs,
     # lam).  A block with zero degree sum carries no likelihood terms, so its
     # diagonal is free: the closed-form test leaves it out; it rides at lam.
     k, kappa, m = stats.k, stats.kappa, stats.m_block
-    t, ratio = _mle_lists(stats)
     dmin = min(ratio[q][q] for q in range(k) if kappa[q])
     omax = max(x for r, row in enumerate(ratio) for s, x in enumerate(row) if r != s)
     crossed = 0
@@ -217,7 +212,7 @@ def _max_closure(gains, above) -> list[int]:
             cap[v][u] += push
 
 
-def _solve_weak_exact(stats: BlockStats) -> OmegaSolution:
+def _solve_weak_exact(stats: BlockStats, t) -> OmegaSolution:
     # The weak optimum is the isotonic regression of the ratios m/T weighted
     # by T under omega_rs <= omega_rr, omega_ss (Robertson, Wright & Dykstra
     # 1988, sec. 1.5).  A part's cells above its pooled level c are its
@@ -254,8 +249,7 @@ def _solve_weak_exact(stats: BlockStats) -> OmegaSolution:
             r, s = cells[i]
             omega[r][s] = omega[s][r] = c
     return OmegaSolution(omega=np.array(omega), lam=0.0,
-                         objective=_loglik(stats.m_block,
-                                           _mle_lists(stats)[0], omega),
+                         objective=_loglik(stats.m_block, t, omega),
                          kkt_residual=0.0, iterations=splits)
 
 

@@ -185,3 +185,20 @@ class TestReal:
         plan = ExperimentPlan(kind="real-network")
         with pytest.raises(ValueError):
             run_real(plan)
+
+
+@pytest.mark.parametrize("kind", ["ppm", "sbm", "real"])
+def test_manifest_lists_exactly_the_directory(tmp_path, kind):
+    out = tmp_path / "out"
+    if kind == "ppm":
+        run_ppm_sweep(tiny_ppm_plan(runs=1, ratios=[0.3]), out_dir=out)
+    elif kind == "sbm":
+        run_sbm_ensemble(tiny_sbm_plan(runs=1, datasets=1), out_dir=out)
+    else:
+        g, truth = generate_ppm(PpmSpec(n=24, k=2, avg_degree=6, ratio=0.2,
+                                        seed=5))
+        edges = write_instance(tmp_path / "net", g, truth, {})["edges"]
+        run_real(ExperimentPlan(kind="real-network", runs=1, k=2),
+                 graph_path=edges, out_dir=out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"] == sorted(p.name for p in out.iterdir())

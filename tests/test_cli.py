@@ -91,6 +91,14 @@ class TestFit:
         assert err.startswith("error:") and "max_sweeps" in err
         assert "best" not in out
 
+    def test_workers_below_one_fails(self, capsys, triangles_file):
+        rc = main(["fit", "--graph", str(triangles_file), "--k", "2",
+                   "--runs", "2", "--workers", "0"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error:") and "workers" in err
+        assert "best" not in out
+
     def test_result_json_deterministic(self, tmp_path, triangles_file):
         args = ["fit", "--graph", str(triangles_file), "--k", "2",
                 "--model", "ac-dc-sbm", "--runs", "3", "--seed", "4"]

@@ -7,7 +7,7 @@ from acsbm import (AssortativityMode, assortativity_level, contingency_table,
                    count_assortative_communities, is_feasible, nmi,
                    solve_constrained)
 from helpers import random_block_stats
-from test_solver import OMEGA_NOT_STRONG, OMEGA_STRONG
+from test_solver import MALFORMED_OMEGAS, OMEGA_NOT_STRONG, OMEGA_STRONG
 
 
 class TestNmi:
@@ -80,6 +80,15 @@ class TestAssortativeCommunityCount:
                 1 for q in range(k)
                 if all(w[q, q] >= w[q, s] - 1e-8 for s in range(k) if s != q))
             assert count_assortative_communities(w, 1e-8) == expected
+
+
+@pytest.mark.parametrize("omega, named", MALFORMED_OMEGAS + [
+    pytest.param([[np.inf, 1.0], [1.0, 2.0]], "finite", id="inf"),
+    pytest.param([[1.0, np.nan], [np.nan, 1.0]], "finite", id="nan")])
+def test_invalid_omega_rejected(omega, named):
+    for classify in (count_assortative_communities, assortativity_level):
+        with pytest.raises(ValueError, match=named):
+            classify(omega)
 
 
 class TestAssortativityLevel:

@@ -351,3 +351,7 @@ class TestMultiStart:
     def test_runs_validation(self, triangle_pair):
         with pytest.raises(ValueError):
             multi_start(triangle_pair, FitConfig(k=2, seed=0), runs=0)
+        for workers in (0, -2):
+            with pytest.raises(ValueError, match="workers"):
+                multi_start(triangle_pair, FitConfig(k=2, seed=0), runs=3,
+                            workers=workers)

@@ -29,6 +29,13 @@ OMEGA_STRONG = symmetric([[2.0196, 1.7152, 0.9, 0.8],
                           [1.7152, 2.4, 0.7, 0.6],
                           [0.9, 0.7, 2.1, 0.5],
                           [0.8, 0.6, 0.5, 3.0]])
+# block matrices every omega validator rejects, with the error each names
+MALFORMED_OMEGAS = [
+    pytest.param([[1.0], [2.0]], "shape", id="column"),
+    pytest.param([1.0, 2.0], "shape", id="1-d"),
+    pytest.param([[1.0, 2.0, 3.0], [2.0, 1.0, 3.0]], "shape", id="2x3"),
+    pytest.param([[1.0, -2.0], [-2.0, 1.0]], "nonnegative", id="negative"),
+    pytest.param([[1.0, 2.0], [0.5, 1.0]], "symmetric", id="asymmetric")]
 
 # K=2 instance whose strong optimum has a closed form: all constraints bind,
 # omega == lambda everywhere, lambda* = sum(m) / sum(T) = 1, objective = -9.
@@ -97,6 +104,12 @@ class TestIsFeasible:
                 is_feasible([[bad, 1.0], [1.0, bad]], mode)
             with pytest.raises(ValueError, match="finite"):
                 is_feasible([[2.0, bad], [bad, 2.0]], mode)
+
+    @pytest.mark.parametrize("omega, named", MALFORMED_OMEGAS)
+    def test_malformed_rejected(self, omega, named):
+        for mode in AssortativityMode:
+            with pytest.raises(ValueError, match=named):
+                is_feasible(omega, mode)
 
     def test_strong_implies_weak(self):
         rng = random.Random(2)
