@@ -34,9 +34,12 @@ higher.
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -252,21 +255,22 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
     partition = Partition(k, assign)
     stats = block_stats(graph, partition)
     m, kappa, two_m = stats.m_block, stats.kappa, stats.two_m
-    h = _xlogx(graph)
     sizes = partition.block_sizes()
 
-    offset = profile_offset(two_m)
-    prof = _profile(m, kappa, h)
     n_solves = 0
     current_sol: OmegaSolution | None = None  # None means omega_mle is optimal
-    if by_q:
+    if by_q:  # Q is scored on integers: no x*log(x) table, no profile
         best = modularity(stats)
-    elif _mle_feasible(stats, mode):
-        best = prof + offset
     else:
-        current_sol = solve_constrained(stats, mode)
-        n_solves += 1
-        best = current_sol.objective
+        h = _xlogx(graph)
+        offset = profile_offset(two_m)
+        prof = _profile(m, kappa, h)
+        if _mle_feasible(stats, mode):
+            best = prof + offset
+        else:
+            current_sol = solve_constrained(stats, mode)
+            n_solves += 1
+            best = current_sol.objective
     trace = [best]
     plateau = current_sol is not None and _on_null_plateau(stats)
 
@@ -364,6 +368,38 @@ def _fit_task(args) -> FitResult:
     return fit(graph, cfg)
 
 
+# The process pool of this process, as (workers, executor): created by the
+# first multi_start call with workers >= 2 and reused by the later ones.
+_pool: tuple[int, ProcessPoolExecutor] | None = None
+
+
+def _shutdown_pool() -> None:
+    global _pool
+    if _pool is not None:
+        _, executor = _pool
+        _pool = None
+        executor.shutdown()
+
+
+def _forget_pool() -> None:
+    """In a forked child the inherited pool belongs to the parent."""
+    global _pool
+    _pool = None
+
+
+atexit.register(_shutdown_pool)
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _executor(workers: int) -> ProcessPoolExecutor:
+    """The pool of ``workers`` processes, replacing one of another size."""
+    global _pool
+    if _pool is None or _pool[0] != workers:
+        _shutdown_pool()
+        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+    return _pool[1]
+
+
 def multi_start(graph: Graph, cfg: FitConfig, runs: int,
                 workers: int = 1) -> list[FitResult]:
     """Independent fits with seeds cfg.seed .. cfg.seed + runs - 1, on
@@ -371,6 +407,15 @@ def multi_start(graph: Graph, cfg: FitConfig, runs: int,
 
     Results are sorted by the run objective (descending), ties broken by
     seed, so the ordering is deterministic regardless of worker scheduling.
+
+    With workers >= 2 the fits run on one process pool per process, created
+    on first use and reused by every later call with the same worker count
+    (a call with another count replaces it).  Idle workers live until the
+    interpreter exits.  They are forked when the pool starts, so they see
+    this module's state as it was then.  A pool whose worker died raises
+    ``BrokenProcessPool`` once and is replaced on the next call.  Being one
+    per process, the pool is not meant for calls from several threads at
+    once.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -380,10 +425,13 @@ def multi_start(graph: Graph, cfg: FitConfig, runs: int,
     if workers == 1 or runs == 1:
         results = [fit(graph, c) for c in cfgs]
     else:
-        workers = min(workers, runs)
+        pool = _executor(workers)
         # ~4 chunks per worker: few round trips, yet unequal restarts even out
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
             results = list(pool.map(_fit_task, [(graph, c) for c in cfgs],
                                     chunksize=math.ceil(runs / (4 * workers))))
+        except BrokenProcessPool:
+            _shutdown_pool()
+            raise
     results.sort(key=lambda r: (-r.objective_value, r.seed))
     return results

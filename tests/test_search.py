@@ -1,6 +1,13 @@
 import math
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +16,7 @@ from acsbm import (AssortativityMode, EmptyBlockMoveError, FitConfig, Graph,
                    Partition, block_stats, delta_relocation,
                    edges_into_blocks, fit, is_feasible,
                    log_likelihood, modularity, multi_start, nmi,
-                   profile_log_likelihood, profile_offset)
+                   profile_log_likelihood, profile_offset, search)
 from helpers import legal_moves, random_graph, random_partition
 
 TRIANGLE_OPT = 6 * math.log(2) - 6
@@ -355,3 +362,95 @@ class TestMultiStart:
             with pytest.raises(ValueError, match="workers"):
                 multi_start(triangle_pair, FitConfig(k=2, seed=0), runs=3,
                             workers=workers)
+
+
+@pytest.fixture
+def fresh_pool():
+    """No pool before the test, and none left behind by it."""
+    search._shutdown_pool()
+    yield
+    search._shutdown_pool()
+
+
+def _as_dicts(results):
+    return [r.to_dict() for r in results]
+
+
+class TestProcessPool:
+    JOBS = [  # (graph seed, n, config, runs): graphs, modes and objectives
+        (101, 20, FitConfig(k=3, seed=0), 6),
+        (102, 16, FitConfig(k=2, mode=AssortativityMode.STRONG, seed=5), 5),
+        (103, 18, FitConfig(k=3, mode=AssortativityMode.WEAK, seed=9), 7),
+        (104, 20, FitConfig(k=3, seed=2, objective="modularity"), 3),
+    ]
+
+    def test_one_pool_serves_every_call(self, fresh_pool, monkeypatch):
+        started = []
+
+        class CountingPool(search.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(self)
+                self.was_shut_down = False
+                super().__init__(*args, **kwargs)
+
+            def shutdown(self, *args, **kwargs):
+                self.was_shut_down = True
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", CountingPool)
+        for seed, n, cfg, runs in self.JOBS:
+            g = random_graph(random.Random(seed), n, p=0.3)
+            assert _as_dicts(multi_start(g, cfg, runs, workers=2)) == \
+                _as_dicts(multi_start(g, cfg, runs, workers=1))
+        assert len(started) == 1
+
+        tiny = random_graph(random.Random(105), 3, p=1.0)
+        with pytest.raises(ValueError, match="exceeds node count"):
+            multi_start(tiny, FitConfig(k=4), runs=4, workers=2)
+        seed, n, cfg, runs = self.JOBS[0]
+        g = random_graph(random.Random(seed), n, p=0.3)
+        assert _as_dicts(multi_start(g, cfg, runs, workers=2)) == \
+            _as_dicts(multi_start(g, cfg, runs, workers=1))
+        assert len(started) == 1 and not started[0].was_shut_down
+
+        assert _as_dicts(multi_start(g, cfg, runs, workers=3)) == \
+            _as_dicts(multi_start(g, cfg, runs, workers=1))
+        assert len(started) == 2 and started[0].was_shut_down
+
+    def test_broken_pool_is_replaced(self, fresh_pool):
+        g = random_graph(random.Random(106), 20, p=0.3)
+        cfg = FitConfig(k=3, mode=AssortativityMode.STRONG, seed=3)
+        multi_start(g, cfg, runs=6, workers=2)
+        _, executor = search._pool
+        os.kill(next(iter(executor._processes)), signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while not executor._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with pytest.raises(BrokenProcessPool):
+            multi_start(g, cfg, runs=6, workers=2)
+        assert search._pool is None
+        assert _as_dicts(multi_start(g, cfg, runs=6, workers=2)) == \
+            _as_dicts(multi_start(g, cfg, runs=6, workers=1))
+        assert search._pool[1] is not executor
+
+
+def test_no_worker_outlives_the_interpreter():
+    script = (
+        "import random\n"
+        "from acsbm import FitConfig, multi_start, search\n"
+        "from helpers import random_graph\n"
+        "g = random_graph(random.Random(107), 20, p=0.3)\n"
+        "multi_start(g, FitConfig(k=3, seed=0), runs=6, workers=2)\n"
+        "multi_start(g, FitConfig(k=2, mode='strong'), runs=6, workers=2)\n"
+        "print(*search._pool[1]._processes)\n")
+    paths = [Path(search.__file__).parent.parent, Path(__file__).parent]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+         "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
