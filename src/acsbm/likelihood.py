@@ -73,15 +73,23 @@ def _mle_lists(stats: BlockStats) -> tuple[list[list[float]], list[list[float]]]
 
 
 def _loglik(m, t, omega) -> float:
-    """L(Omega) on nested lists of m_rs, T_rs and finite omega_rs >= 0."""
+    """L(Omega) on symmetric nested lists of m_rs, T_rs and finite
+    omega_rs >= 0, read on and above the diagonal.
+
+    An off-diagonal term enters the sum twice; it is computed once and
+    doubled, which is exact, so the correctly rounded sum is that of the
+    full matrix bit for bit.
+    """
     terms = []
-    for m_row, t_row, w_row in zip(m, t, omega):
-        for mrs, trs, w in zip(m_row, t_row, w_row):
+    for r, (m_row, t_row, w_row) in enumerate(zip(m, t, omega)):
+        for s in range(r, len(m_row)):
+            mrs, w = m_row[s], w_row[s]
+            x = 1.0 if s == r else 2.0
             if mrs:
                 if w == 0.0:
                     return -math.inf
-                terms.append(mrs * math.log(w))
-            terms.append(-trs * w)
+                terms.append(x * (mrs * math.log(w)))
+            terms.append(x * (-t_row[s] * w))
     return 0.5 * math.fsum(terms)
 
 
@@ -90,7 +98,8 @@ def log_likelihood(stats: BlockStats, omega) -> float:
 
     Returns ``-inf`` when some omega_rs is zero while m_rs > 0; pairs with
     m_rs = 0 contribute only their -T_rs omega_rs penalty.  Raises
-    ValueError unless Omega is symmetric K x K, finite and nonnegative.
+    ValueError unless Omega is symmetric K x K (to 1e-12; its upper
+    triangle is read), finite and nonnegative.
     """
     w = _as_omega(omega, stats.k)
     return _loglik(stats.m_block, _expected(stats), w.tolist())

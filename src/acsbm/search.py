@@ -12,10 +12,15 @@ O(K + deg(i)).
 Likelihood objective: each candidate is first scored with the
 *unconstrained* profile objective, updated incrementally in O(K) from
 x*log(x) of the integer block counts, looked up in a list over 0..2m (a memo
-when edge weights are heavy); only candidates that would improve the current
-value, yet whose closed-form block parameters violate the requested
-assortativity constraints, pay for a constrained solve.  Since the
-constrained optimum never exceeds the unconstrained one, this filter never
+when edge weights are heavy) that fits of graphs with the same 2m share.
+Since the constrained optimum never exceeds the unconstrained one, a
+candidate that does not improve the current value is dropped unsolved.  So
+is one whose closed-form block parameters violate the requested
+assortativity constraints by a pair whose two-cell bound
+(``solver._mle_gap``, a lower bound on the likelihood the constraints cost)
+already takes it below the current value by more than a margin of 1e-9
+times the likelihood's scale, far above the rounding of either side.  Only
+the remaining candidates pay for a constrained solve, so neither filter
 discards an improving constrained move.  All comparisons happen on the
 full-likelihood scale: profile values differ from it by the
 partition-independent constant ``profile_offset``, which makes unconstrained
@@ -35,6 +40,7 @@ higher.
 from __future__ import annotations
 
 import atexit
+import functools
 import math
 import os
 import random
@@ -48,7 +54,7 @@ from .core import (BlockStats, Graph, Partition, _check_move,
                    _relocate_stats, block_stats, edges_into_blocks)
 from .likelihood import log_likelihood, modularity, omega_mle, profile_offset
 # is_feasible is unused here; it stays a module attribute for the benchmark.
-from .solver import AssortativityMode, OmegaSolution, _mle_feasible, \
+from .solver import AssortativityMode, OmegaSolution, _mle_gap, \
     _on_null_plateau, is_feasible, solve_constrained  # noqa: F401
 
 __all__ = [
@@ -100,6 +106,14 @@ class FitResult:
     trace holds the strictly increasing objective values of the improving
     moves (full log-likelihood for likelihood runs, Q for modularity runs),
     starting from the initial solution.
+
+    constrained_solves counts the calls of ``solve_constrained``: the
+    initial partition's when its closed form is infeasible, then each
+    candidate that improves the unconstrained value, has an infeasible
+    closed form and is not ruled out by the two-cell bound.  filtered_moves
+    counts the candidates dropped unsolved: those that do not improve the
+    unconstrained value (or Q), and those the bound rules out.  Their sum
+    depends on the search path alone, not on how tight the bound is.
     """
 
     partition: Partition
@@ -149,20 +163,29 @@ class _XLogX(dict):
 
 
 def _xlogx(graph: Graph):
-    """x*log(x) lookups for one fit: every block count lies in 0..2m.
+    """x*log(x) lookups for a fit: every block count lies in 0..2m.
 
     A list over 0..2m is the fastest lookup.  While the mean edge weight is
     at most 4 it holds at most 8 entries per edge, about the graph's own
     size; heavier graphs get the memo, which does not grow with the weights.
     """
     two_m = 2 * graph.total_weight
-    if two_m > 8 * len(graph.edges):
+    return _xlogx_table(two_m, two_m > 8 * len(graph.edges))
+
+
+@functools.lru_cache(maxsize=4)
+def _xlogx_table(two_m: int, memo: bool):
+    """The lookups of ``_xlogx``, built once and shared by every fit with
+    this 2m (each of them only reads it; the memo fills in as it is read).
+    The four most recent are kept: about 0.5 MB per list at n = 1000."""
+    if memo:
         return _XLogX()
     return [v * math.log(v) if v else 0.0 for v in range(two_m + 1)]
 
 
 def _profile(m, kappa, h) -> float:
-    return 0.5 * sum(sum(h[v] for v in row) for row in m) - sum(h[v] for v in kappa)
+    at = h.__getitem__
+    return 0.5 * sum(sum(map(at, row)) for row in m) - sum(map(at, kappa))
 
 
 def _delta_profile(m, kappa, h, d, ki, l2, a, b) -> float:
@@ -264,8 +287,9 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
     else:
         h = _xlogx(graph)
         offset = profile_offset(two_m)
+        scale = max(1.0, offset)  # of the likelihood, for the bound's margin
         prof = _profile(m, kappa, h)
-        if _mle_feasible(stats, mode):
+        if _mle_gap(stats, mode) is None:
             best = prof + offset
         else:
             current_sol = solve_constrained(stats, mode)
@@ -311,7 +335,11 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
                     prof_new = _profile(m, kappa, h)
                     cand = prof_new + offset
                     ok = cand > best
-                if ok and not _mle_feasible(stats, mode):
+                gap = _mle_gap(stats, mode) if ok else None
+                if gap is not None and not plateau and cand - gap \
+                        < best - 1e-9 * max(scale, abs(best)):
+                    ok = False  # the constraints cost more than the gain
+                elif gap is not None:
                     accept_sol = solve_constrained(stats, mode)
                     n_solves += 1
                     cand = accept_sol.objective

@@ -18,9 +18,13 @@ regression of the ratios weighted by T, whose level sets a series of minimum
 cuts finds.  Both run on Python lists, with ratios and objective from
 ``acsbm.likelihood``'s list kernels; numpy only wraps the returned omega,
 as at a fit's block counts its per-call overhead dominates.  ``_feasible``
-is the one constraint test: ``is_feasible`` applies it to a given omega and
-the search to each candidate's closed form.  ``lambda_profile_oracle``
-solves strong mode by golden-section search, to cross-check it in tests.
+is the constraint test of a given omega (``is_feasible``) and of the
+closed form inside ``solve_constrained``.  The search screens each
+candidate's closed form with ``_mle_gap`` instead: in one pass it decides
+the same test and, when it fails, bounds from below how much likelihood
+the constraints cost, by the exact optimum of the two-cell problem of one
+violated pair.  ``lambda_profile_oracle`` solves strong mode by
+golden-section search, to cross-check it in tests.
 """
 
 from __future__ import annotations
@@ -93,10 +97,59 @@ def is_feasible(omega, mode: AssortativityMode, tol: float = 0.0) -> bool:
     return _feasible(_as_omega(omega).tolist(), AssortativityMode(mode), tol)
 
 
-def _mle_feasible(stats: BlockStats, mode: AssortativityMode) -> bool:
-    """``is_feasible(omega_mle(stats), mode, 0.0)``, without numpy."""
-    return mode is AssortativityMode.NONE or stats.k <= 1 or _feasible(
-        _mle_lists(stats)[1], mode)
+def _phi(rho: float, lam: float) -> float:
+    """Loss per unit T of moving an entry from its ratio rho to lam."""
+    return (rho * math.log(rho / lam) if rho else 0.0) - rho + lam
+
+
+def _pair_gap(qq, rs) -> float:
+    """L lost by pooling diagonal (q, q) with off-diagonal (r, s), each given
+    as (m, T, ratio) with ratio_qq < ratio_rs: both move to the optimum
+    lam of the two-cell problem under omega_qq >= omega_rs (half weight on
+    the diagonal, as the symmetric sum counts an off-diagonal twice)."""
+    lam = (0.5 * qq[0] + rs[0]) / (0.5 * qq[1] + rs[1])
+    return 0.5 * qq[1] * _phi(qq[2], lam) + rs[1] * _phi(rs[2], lam)
+
+
+def _mle_gap(stats: BlockStats, mode: AssortativityMode) -> float | None:
+    """None iff ``is_feasible(omega_mle(stats), mode, 0.0)``; otherwise a
+    lower bound on L(omega_mle) - L(Omega*), Omega* the constrained optimum.
+
+    Keeping a single constraint omega_qq >= omega_rs that the closed form
+    violates, and dropping the others, leaves a two-cell problem whose
+    exact optimum (``_pair_gap``) bounds the loss.  Strong mode pairs the
+    smallest diagonal ratio of a block with degree with the largest
+    off-diagonal one (bound 0 if those two are in order: the violation is
+    then a zero-degree block's diagonal, which is free).  Weak mode takes
+    the largest bound over violated rows, each diagonal against its row's
+    largest entry.  One pass over the upper triangle, with ``_mle_lists``'
+    float expressions, and no numpy.
+    """
+    k = stats.k
+    if mode is AssortativityMode.NONE or k <= 1:
+        return None
+    two_m = float(stats.two_m)
+    kappa = [float(v) for v in stats.kappa]
+    diag = []                     # (m, T, ratio) of each block's diagonal
+    row_max = [(0, 0.0, 0.0)] * k  # the largest off-diagonal cell of each row
+    for r, (m_row, kr) in enumerate(zip(stats.m_block, kappa)):
+        trr = kr * kr / two_m
+        diag.append((m_row[r], trr, m_row[r] / trr if trr > 0 else 0.0))
+        for s in range(r + 1, k):
+            trs = kr * kappa[s] / two_m
+            cell = (m_row[s], trs, m_row[s] / trs if trs > 0 else 0.0)
+            if cell[2] > row_max[r][2]:
+                row_max[r] = cell
+            if cell[2] > row_max[s][2]:
+                row_max[s] = cell
+    if mode is AssortativityMode.STRONG:
+        top = max(row_max, key=lambda cell: cell[2])
+        if min(d[2] for d in diag) >= top[2]:
+            return None
+        low = min((d for d, kq in zip(diag, kappa) if kq), key=lambda d: d[2])
+        return _pair_gap(low, top) if low[2] < top[2] else 0.0
+    gaps = [_pair_gap(d, top) for d, top in zip(diag, row_max) if d[2] < top[2]]
+    return max(gaps) if gaps else None
 
 
 def solve_constrained(stats: BlockStats, mode: AssortativityMode) -> OmegaSolution:
@@ -118,7 +171,7 @@ def solve_constrained(stats: BlockStats, mode: AssortativityMode) -> OmegaSoluti
         If every m_rs is zero.
     """
     mode = AssortativityMode(mode)
-    if stats.two_m <= 0 or all(v == 0 for row in stats.m_block for v in row):
+    if stats.two_m <= 0 or not any(map(any, stats.m_block)):
         raise ValueError("all block edge counts are zero")
 
     t, ratio = _mle_lists(stats)
@@ -139,7 +192,7 @@ def _solve_strong_exact(stats: BlockStats, t, ratio) -> OmegaSolution:
     # diagonal is free: the closed-form test leaves it out; it rides at lam.
     k, kappa, m = stats.k, stats.kappa, stats.m_block
     dmin = min(ratio[q][q] for q in range(k) if kappa[q])
-    omax = max(x for r, row in enumerate(ratio) for s, x in enumerate(row) if r != s)
+    omax = max(max(row[r + 1:]) for r, row in enumerate(ratio[:-1]))  # symmetric
     crossed = 0
     if dmin >= omax:
         lam = 0.5 * (dmin + omax)
@@ -172,9 +225,9 @@ def _solve_strong_exact(stats: BlockStats, t, ratio) -> OmegaSolution:
             crossed += 1
         lam = a / b
 
-    omega = [[min(x, lam) for x in row] for row in ratio]
+    omega = [[lam if lam < x else x for x in row] for row in ratio]
     for r in range(k):
-        omega[r][r] = max(ratio[r][r], lam)
+        omega[r][r] = lam if lam > ratio[r][r] else ratio[r][r]
     return OmegaSolution(omega=np.array(omega), lam=lam,
                          objective=_loglik(m, t, omega),
                          kkt_residual=0.0, iterations=crossed)

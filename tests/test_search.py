@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import os
 import random
@@ -12,14 +14,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from acsbm import (AssortativityMode, EmptyBlockMoveError, FitConfig, Graph,
-                   Partition, block_stats, delta_relocation,
-                   edges_into_blocks, fit, is_feasible,
-                   log_likelihood, modularity, multi_start, nmi,
-                   profile_log_likelihood, profile_offset, search)
+from acsbm import (AssortativityMode, EmptyBlockMoveError, FitConfig,
+                   FitResult, Graph, Partition, PpmSpec, block_stats,
+                   delta_relocation, edges_into_blocks, fit, generate_ppm,
+                   is_feasible, load_edge_list, log_likelihood, modularity,
+                   multi_start, nmi, profile_log_likelihood, profile_offset,
+                   search)
 from helpers import legal_moves, random_graph, random_partition
 
 TRIANGLE_OPT = 6 * math.log(2) - 6
+DATA = Path(__file__).resolve().parent.parent / "benchmarks" / "data"
 
 
 class TestDeltaRelocation:
@@ -251,18 +255,26 @@ class TestFit:
         ("dc-sbm", 1): ("1020312012103301", 5, 229, 0, 16),
         ("dc-sbm", 2): ("0000102223330030", 2, 89, 0, 10),
         ("dc-sbm", 3): ("1121021313333331", 2, 83, 0, 12),
-        ("strong", 0): ("1333231201121120", 3, 125, 26, 15),
-        ("strong", 1): ("2020321011103302", 3, 115, 32, 17),
-        ("strong", 2): ("0000102223330030", 2, 82, 16, 10),
+        ("strong", 0): ("1333231201121120", 3, 136, 15, 15),
+        ("strong", 1): ("2020321011103302", 3, 130, 17, 17),
+        ("strong", 2): ("0000102223330030", 2, 88, 10, 10),
         ("strong", 3): ("1121021313333331", 2, 83, 4, 11),
-        ("weak", 0): ("1303301021201102", 3, 113, 37, 17),
-        ("weak", 1): ("2020321011103302", 3, 117, 26, 17),
-        ("weak", 2): ("0000102223330030", 2, 84, 13, 10),
+        ("weak", 0): ("1303301021201102", 3, 134, 16, 17),
+        ("weak", 1): ("2020321011103302", 3, 131, 12, 17),
+        ("weak", 2): ("0000102223330030", 2, 89, 8, 10),
         ("weak", 3): ("1121021313333331", 2, 83, 4, 11),
         ("modularity", 0): ("3333031211121123", 3, 135, 0, 17),
         ("modularity", 1): ("3030231011103303", 3, 137, 0, 15),
         ("modularity", 2): ("0000302122212210", 3, 138, 0, 13),
         ("modularity", 3): ("2121023333333332", 2, 85, 0, 17),
+    }
+    # filtered_moves + constrained_solves of the strong and weak fits above
+    # as pinned before solves were screened by the two-cell bound: the bound
+    # moves candidates from one counter to the other, never the total
+    UNSCREENED_TOTALS = {
+        ("strong", 0): 151, ("strong", 1): 147, ("strong", 2): 98,
+        ("strong", 3): 87, ("weak", 0): 150, ("weak", 1): 143,
+        ("weak", 2): 97, ("weak", 3): 87,
     }
 
     def test_search_path_pinned(self):
@@ -275,6 +287,79 @@ class TestFit:
             got = ("".join(map(str, r.partition.assign)), r.sweeps,
                    r.filtered_moves, r.constrained_solves, len(r.trace))
             assert got == expected, (model, seed)
+            if (model, seed) in self.UNSCREENED_TOTALS:
+                assert r.filtered_moves + r.constrained_solves == \
+                    self.UNSCREENED_TOTALS[model, seed], (model, seed)
+
+
+def _without_counters(result: FitResult) -> dict:
+    d = result.to_dict()
+    del d["constrained_solves"], d["filtered_moves"]
+    return d
+
+
+class TestSolveScreen:
+    """The two-cell bound only skips solves that would lose: with it
+    switched off (a bound of 0 for every infeasible closed form) every fit
+    is the same, and only solves turn into filtered candidates."""
+
+    @staticmethod
+    def graphs():
+        karate = load_edge_list(DATA / "karate.edges")
+        heavy = random_graph(random.Random(3), 20, p=0.3, max_w=20)
+        assert 2 * heavy.total_weight > 8 * len(heavy.edges)  # the memo
+        lone = random_graph(random.Random(4), 20, p=0.3, loops=True)
+        return [(karate, 2), (karate, 3),
+                (random_graph(random.Random(1), 16, p=0.2, loops=True), 4),
+                (heavy, 3), (Graph(21, lone.edges), 3)]
+
+    def test_screen_changes_only_the_counters(self, monkeypatch):
+        cfgs = [FitConfig(k=k, mode=mode, seed=seed)
+                for mode in (AssortativityMode.STRONG, AssortativityMode.WEAK)
+                for k in (2, 3, 4) for seed in range(6)]
+        graphs = self.graphs()
+        runs = [(g, c) for g, k in graphs for c in cfgs if c.k == k]
+        screened = [fit(g, c) for g, c in runs]
+        bound = search._mle_gap
+        monkeypatch.setattr(search, "_mle_gap", lambda stats, mode: (
+            None if bound(stats, mode) is None else 0.0))
+        skipped = 0
+        for (g, c), r in zip(runs, screened):
+            ref = fit(g, c)
+            assert _without_counters(r) == _without_counters(ref), c
+            assert r.filtered_moves + r.constrained_solves == \
+                ref.filtered_moves + ref.constrained_solves, c
+            assert r.constrained_solves <= ref.constrained_solves, c
+            skipped += ref.constrained_solves - r.constrained_solves
+        assert skipped > 0
+        assert any(r.trace[0] == -g.total_weight
+                   for (g, c), r in zip(runs, screened) if c.k == 2)
+
+
+# SHA-256 of the fits below, without the two counters, as produced before
+# solves were screened by the two-cell bound: a change that must keep every
+# fit bit for bit compares against it.
+FIT_DIGEST = "a7adfb8a188320d3445b8b537758a6fb99c0610bacdddee4eaab4d006f1474a8"
+
+
+def fit_digest() -> str:
+    karate = load_edge_list(DATA / "karate.edges")
+    ppm = generate_ppm(PpmSpec(n=100, k=4, avg_degree=16.0, ratio=0.25,
+                               seed=1201))[0]
+    models = [{}, {"mode": "strong"}, {"mode": "weak"},
+              {"objective": "modularity"}]
+    fits = [(karate, k, seed) for k in (2, 3) for seed in range(10)]
+    fits += [(ppm, 4, seed) for seed in range(4)]
+    digest = hashlib.sha256()
+    for kw in models:
+        for g, k, seed in fits:
+            d = _without_counters(fit(g, FitConfig(k=k, seed=seed, **kw)))
+            digest.update(json.dumps(d, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_fits_bit_identical():
+    assert fit_digest() == FIT_DIGEST
 
 
 class TestModularityObjective:

@@ -8,7 +8,7 @@ import pytest
 from acsbm import (AssortativityMode, BlockStats, OmegaSolution, Partition,
                    block_stats, is_feasible, lambda_profile_oracle,
                    log_likelihood, omega_mle, solve_constrained)
-from acsbm.solver import _mle_feasible, _on_null_plateau
+from acsbm.solver import _mle_gap, _on_null_plateau
 from helpers import numpy_log_likelihood, random_block_stats
 
 
@@ -141,9 +141,39 @@ class TestIsFeasible:
             w = omega_mle(st)
             for mode in (AssortativityMode.STRONG, AssortativityMode.WEAK):
                 expected = is_feasible(w, mode, 0.0)
-                assert _mle_feasible(st, mode) is expected, (st, mode)
+                assert (_mle_gap(st, mode) is None) is expected, (st, mode)
                 outcomes.add((mode, expected))
         assert len(outcomes) == 4
+
+    def test_gap_bounds_the_cost_of_the_constraints(self):
+        # _mle_gap never exceeds what the exact solve loses against the
+        # closed form, on large counts, zero-degree blocks and ties too
+        rng = random.Random(71)
+        binding = 0
+        for _ in range(400):
+            st = random_block_stats(rng, rng.randint(2, 8),
+                                    hi=rng.choice([20, 500, 5000]))
+            for case in (st, with_zero_degree_block(st),
+                         with_tie(st, 2 * rng.randint(1, 50))):
+                top = log_likelihood(case, omega_mle(case))
+                for mode in (AssortativityMode.STRONG, AssortativityMode.WEAK):
+                    gap = _mle_gap(case, mode)
+                    if gap is None:
+                        continue
+                    binding += 1
+                    cost = top - solve_constrained(case, mode).objective
+                    assert 0.0 <= gap <= cost + 1e-12 * max(1.0, abs(top)), \
+                        (case, mode, gap, cost)
+        assert binding > 1000
+
+    def test_gap_is_exact_for_one_violated_pair(self):
+        # only omega_22 < omega_12 is violated, and pooling the two cells
+        # leaves every other constraint met: the bound is the whole cost
+        st = BlockStats(3, [[12, 0, 6], [0, 10, 9], [6, 9, 4]], [18, 19, 19], 56)
+        top = log_likelihood(st, omega_mle(st))
+        for mode in (AssortativityMode.STRONG, AssortativityMode.WEAK):
+            cost = top - solve_constrained(st, mode).objective
+            assert _mle_gap(st, mode) == pytest.approx(cost, rel=1e-12)
 
 
 class TestOracle:
