@@ -16,7 +16,9 @@ differs from L at the maximizer by the partition-independent constant
 
 ``_loglik``, ``_expected`` and ``_mle_lists`` are the one list
 implementation of L, of T and of m / T; the exact solves in
-``acsbm.solver`` call them too.  ``_as_omega`` is the one validation of a
+``acsbm.solver`` call them too (``solver._mle_gap``, run on every
+improving candidate, repeats their float expressions in one pass over the
+upper triangle).  ``_as_omega`` is the one validation of a
 given Omega, here, in ``is_feasible`` and in the metrics.  L and P are
 summed by the correctly rounded ``math.fsum``, so relabelling the blocks
 leaves them unchanged bit for bit.  L is -inf iff some omega_rs = 0 has

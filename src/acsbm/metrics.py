@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .likelihood import _as_omega
-from .solver import AssortativityMode, _assortative_row, is_feasible
+from .solver import (AssortativityMode, _assortative_rows, _row_ends,
+                     is_feasible)
 
 __all__ = [
     "contingency_table",
@@ -68,7 +69,7 @@ def count_assortative_communities(omega, tol: float = 1e-8) -> int:
     rows = _as_omega(omega).tolist()
     if len(rows) == 1:
         return 1
-    return sum(_assortative_row(row, q, tol) for q, row in enumerate(rows))
+    return sum(_assortative_rows(*_row_ends(rows), tol))
 
 
 def assortativity_level(omega, tol: float = 1e-8) -> AssortativityMode:

@@ -11,8 +11,9 @@ O(K + deg(i)).
 
 Likelihood objective: each candidate is first scored with the
 *unconstrained* profile objective, updated incrementally in O(K) from
-x*log(x) of the integer block counts, looked up in a list over 0..2m (a memo
-when edge weights are heavy) that fits of graphs with the same 2m share.
+x*log(x) of the integer block counts, looked up in a list over 0..2m that
+consecutive fits with the same 2m share (a memo per fit when edge weights
+are heavy).
 Since the constrained optimum never exceeds the unconstrained one, a
 candidate that does not improve the current value is dropped unsolved.  So
 is one whose closed-form block parameters violate the requested
@@ -167,19 +168,20 @@ def _xlogx(graph: Graph):
 
     A list over 0..2m is the fastest lookup.  While the mean edge weight is
     at most 4 it holds at most 8 entries per edge, about the graph's own
-    size; heavier graphs get the memo, which does not grow with the weights.
+    size; heavier graphs get a fresh memo per fit, which does not grow with
+    the weights and is freed with the fit.
     """
     two_m = 2 * graph.total_weight
-    return _xlogx_table(two_m, two_m > 8 * len(graph.edges))
-
-
-@functools.lru_cache(maxsize=4)
-def _xlogx_table(two_m: int, memo: bool):
-    """The lookups of ``_xlogx``, built once and shared by every fit with
-    this 2m (each of them only reads it; the memo fills in as it is read).
-    The four most recent are kept: about 0.5 MB per list at n = 1000."""
-    if memo:
+    if two_m > 8 * len(graph.edges):
         return _XLogX()
+    return _xlogx_list(two_m)
+
+
+@functools.lru_cache(maxsize=1)
+def _xlogx_list(two_m: int) -> list[float]:
+    """The list of ``_xlogx``, shared read-only by consecutive fits with this
+    2m: the runners fit every restart and model of one graph before the
+    next graph, so the last list alone serves them."""
     return [v * math.log(v) if v else 0.0 for v in range(two_m + 1)]
 
 

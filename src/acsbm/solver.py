@@ -17,14 +17,15 @@ derivative is A/lambda - B.  Weak mode: the optimum is the isotonic
 regression of the ratios weighted by T, whose level sets a series of minimum
 cuts finds.  Both run on Python lists, with ratios and objective from
 ``acsbm.likelihood``'s list kernels; numpy only wraps the returned omega,
-as at a fit's block counts its per-call overhead dominates.  ``_feasible``
-is the constraint test of a given omega (``is_feasible``) and of the
-closed form inside ``solve_constrained``.  The search screens each
-candidate's closed form with ``_mle_gap`` instead: in one pass it decides
-the same test and, when it fails, bounds from below how much likelihood
-the constraints cost, by the exact optimum of the two-cell problem of one
-violated pair.  ``lambda_profile_oracle`` solves strong mode by
-golden-section search, to cross-check it in tests.
+as at a fit's block counts its per-call overhead dominates.
+``_satisfied`` is the one constraint test, on each row's diagonal entry and
+largest other entry: ``_feasible`` applies it to a given omega
+(``is_feasible``) and to the closed form inside ``solve_constrained``.  The
+search screens each candidate's closed form with ``_mle_gap``, which
+applies it to the closed-form ratios and, when it fails, bounds from below
+how much likelihood the constraints cost, by the exact optimum of the
+two-cell problem of one violated pair.  ``lambda_profile_oracle`` solves
+strong mode by golden-section search, to cross-check it in tests.
 """
 
 from __future__ import annotations
@@ -75,20 +76,30 @@ class OmegaSolution:
     converged: bool = True
 
 
-def _assortative_row(row: list[float], q: int, tol: float) -> bool:
-    """Whether row q's diagonal entry dominates the rest of the row."""
-    return row[q] >= max(row[:q] + row[q + 1:]) - tol
+def _row_ends(rows) -> tuple[list[float], list[float]]:
+    """Each row's diagonal entry, and the largest of its other entries."""
+    return ([row[q] for q, row in enumerate(rows)],
+            [max(row[:q] + row[q + 1:]) for q, row in enumerate(rows)])
+
+
+def _assortative_rows(diag, off, tol: float) -> list[bool]:
+    """Whether each row's diagonal entry dominates the rest of its row."""
+    return [d >= o - tol for d, o in zip(diag, off)]
+
+
+def _satisfied(diag, off, mode: AssortativityMode, tol: float = 0.0) -> bool:
+    """The constraints of ``mode``, up to ``tol``, on the ``_row_ends`` of
+    an omega with at least two blocks."""
+    if mode is AssortativityMode.STRONG:
+        return min(diag) >= max(off) - tol
+    return all(_assortative_rows(diag, off, tol))
 
 
 def _feasible(rows, mode: AssortativityMode, tol: float = 0.0) -> bool:
     """The constraints of ``mode``, up to ``tol``, on a nested-list omega."""
     if mode is AssortativityMode.NONE or len(rows) <= 1:
         return True
-    if mode is AssortativityMode.STRONG:
-        return min(row[q] for q, row in enumerate(rows)) >= max(
-            x for r, row in enumerate(rows) for s, x in enumerate(row)
-            if r != s) - tol
-    return all(_assortative_row(row, q, tol) for q, row in enumerate(rows))
+    return _satisfied(*_row_ends(rows), mode, tol)
 
 
 def is_feasible(omega, mode: AssortativityMode, tol: float = 0.0) -> bool:
@@ -122,34 +133,44 @@ def _mle_gap(stats: BlockStats, mode: AssortativityMode) -> float | None:
     off-diagonal one (bound 0 if those two are in order: the violation is
     then a zero-degree block's diagonal, which is free).  Weak mode takes
     the largest bound over violated rows, each diagonal against its row's
-    largest entry.  One pass over the upper triangle, with ``_mle_lists``'
-    float expressions, and no numpy.
+    largest entry.
+
+    The search calls this for every improving candidate, so it computes
+    the ratios of ``_mle_lists`` with the same float expressions but in one
+    pass over the upper triangle, keeping each row's largest off-diagonal
+    cell: composed from ``_mle_lists`` and ``_feasible`` it took about
+    twice as long per call, which made strong fits on the n = 100 desk
+    fixtures about 1.25x slower.  The constraint test itself is
+    ``_satisfied``, as for ``is_feasible``.
     """
     k = stats.k
     if mode is AssortativityMode.NONE or k <= 1:
         return None
     two_m = float(stats.two_m)
     kappa = [float(v) for v in stats.kappa]
-    diag = []                     # (m, T, ratio) of each block's diagonal
+    diag, ends = [], ([], [0.0] * k)  # cells as (m, T, ratio); their ratios
     row_max = [(0, 0.0, 0.0)] * k  # the largest off-diagonal cell of each row
+    dr, off = ends
     for r, (m_row, kr) in enumerate(zip(stats.m_block, kappa)):
-        trr = kr * kr / two_m
-        diag.append((m_row[r], trr, m_row[r] / trr if trr > 0 else 0.0))
+        t = kr * kr / two_m
+        x = m_row[r] / t if t > 0 else 0.0
+        diag.append((m_row[r], t, x))
+        dr.append(x)
         for s in range(r + 1, k):
-            trs = kr * kappa[s] / two_m
-            cell = (m_row[s], trs, m_row[s] / trs if trs > 0 else 0.0)
-            if cell[2] > row_max[r][2]:
-                row_max[r] = cell
-            if cell[2] > row_max[s][2]:
-                row_max[s] = cell
+            t = kr * kappa[s] / two_m
+            x = m_row[s] / t if t > 0 else 0.0
+            if x > off[r]:
+                off[r], row_max[r] = x, (m_row[s], t, x)
+            if x > off[s]:
+                off[s], row_max[s] = x, (m_row[s], t, x)
+    if _satisfied(*ends, mode):
+        return None
     if mode is AssortativityMode.STRONG:
         top = max(row_max, key=lambda cell: cell[2])
-        if min(d[2] for d in diag) >= top[2]:
-            return None
         low = min((d for d, kq in zip(diag, kappa) if kq), key=lambda d: d[2])
         return _pair_gap(low, top) if low[2] < top[2] else 0.0
-    gaps = [_pair_gap(d, top) for d, top in zip(diag, row_max) if d[2] < top[2]]
-    return max(gaps) if gaps else None
+    return max(_pair_gap(d, top) for d, top, ok
+               in zip(diag, row_max, _assortative_rows(*ends, 0.0)) if not ok)
 
 
 def solve_constrained(stats: BlockStats, mode: AssortativityMode) -> OmegaSolution:
@@ -171,7 +192,7 @@ def solve_constrained(stats: BlockStats, mode: AssortativityMode) -> OmegaSoluti
         If every m_rs is zero.
     """
     mode = AssortativityMode(mode)
-    if stats.two_m <= 0 or not any(map(any, stats.m_block)):
+    if stats.two_m <= 0 or all(v == 0 for row in stats.m_block for v in row):
         raise ValueError("all block edge counts are zero")
 
     t, ratio = _mle_lists(stats)
@@ -192,7 +213,7 @@ def _solve_strong_exact(stats: BlockStats, t, ratio) -> OmegaSolution:
     # diagonal is free: the closed-form test leaves it out; it rides at lam.
     k, kappa, m = stats.k, stats.kappa, stats.m_block
     dmin = min(ratio[q][q] for q in range(k) if kappa[q])
-    omax = max(max(row[r + 1:]) for r, row in enumerate(ratio[:-1]))  # symmetric
+    omax = max(x for r, row in enumerate(ratio) for s, x in enumerate(row) if r != s)
     crossed = 0
     if dmin >= omax:
         lam = 0.5 * (dmin + omax)
@@ -225,9 +246,9 @@ def _solve_strong_exact(stats: BlockStats, t, ratio) -> OmegaSolution:
             crossed += 1
         lam = a / b
 
-    omega = [[lam if lam < x else x for x in row] for row in ratio]
+    omega = [[min(x, lam) for x in row] for row in ratio]
     for r in range(k):
-        omega[r][r] = lam if lam > ratio[r][r] else ratio[r][r]
+        omega[r][r] = max(ratio[r][r], lam)
     return OmegaSolution(omega=np.array(omega), lam=lam,
                          objective=_loglik(m, t, omega),
                          kkt_residual=0.0, iterations=crossed)

@@ -200,6 +200,22 @@ class TestFit:
             assert delta_relocation(block_stats(g, p), g, p, i, b) == \
                 pytest.approx(after - before, abs=1e-12 * abs(before))
 
+    def test_xlogx_memo_not_shared(self, monkeypatch):
+        # Fits of a heavy-weight graph each fill a memo of their own, freed
+        # with the fit; a light graph's fits share one read-only list.
+        tables = []
+        build = search._xlogx
+        monkeypatch.setattr(search, "_xlogx",
+                            lambda g: tables.append(build(g)) or tables[-1])
+        heavy = random_graph(random.Random(3), 20, p=0.3, max_w=20)
+        light = random_graph(random.Random(3), 20, p=0.3)
+        for g in (heavy, light):
+            for seed in range(2):
+                fit(g, FitConfig(k=3, mode="strong", seed=seed))
+        assert all(isinstance(h, search._XLogX) for h in tables[:2])
+        assert tables[0] is not tables[1] and tables[0] and tables[1]
+        assert isinstance(tables[2], list) and tables[2] is tables[3]
+
     def test_fit_ends_at_local_optimum(self):
         # Graphs with self-loops and merged parallel edges.  No move from
         # the final partition may improve the objective, scored here from
