@@ -116,6 +116,8 @@ class ExperimentPlan:
                 raise ValueError(f"unknown model {model!r}")
         if not 0 < self.quantile <= 1:
             raise ValueError("quantile must lie in (0, 1]")
+        if self.datasets < 1 or not self.ratios:
+            raise ValueError("a plan needs datasets >= 1 and at least one ratio")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentPlan":
@@ -227,10 +229,10 @@ def run_real(plan: ExperimentPlan, graph_path=None, k: int | None = None,
     assortativity level, and the block sizes.  No ground truth exists, so
     no per-run records (``runs.jsonl``) are written.
     """
-    path = graph_path or plan.graph_path
+    path = plan.graph_path if graph_path is None else graph_path
     if path is None:
         raise ValueError("real-network experiment needs a graph path")
-    k = k or plan.k
+    k = plan.k if k is None else k
     graph = load_edge_list(path, index_base=plan.index_base)
 
     report: dict = {"graph": str(path), "n": graph.n,

@@ -31,6 +31,9 @@ Modularity objective: a candidate is taken iff it raises Q, decided
 exactly on integers by 2m(d_b - d_a) - k_i(kappa_b - kappa_a + k_i) > 0
 (the change of Q times (2m)^2 / 2).
 
+The sweep keeps only objective values: the returned Omega and lambda are
+one ``solve_constrained`` of the final partition.
+
 Many disassortative partitions have the null constrained optimum Omega = 1,
 likelihood -m (``solver._on_null_plateau``).  On that plateau the likelihood
 search also takes moves along it that raise modularity (which is <= 0
@@ -53,10 +56,12 @@ import numpy as np
 
 from .core import (BlockStats, Graph, Partition, _check_move,
                    _relocate_stats, block_stats, edges_into_blocks)
-from .likelihood import log_likelihood, modularity, omega_mle, profile_offset
-# is_feasible is unused here; it stays a module attribute for the benchmark.
-from .solver import AssortativityMode, OmegaSolution, _mle_gap, \
-    _on_null_plateau, is_feasible, solve_constrained  # noqa: F401
+# log_likelihood, omega_mle and is_feasible are unused here; they stay module
+# attributes because the benchmark's tracer patches them.
+from .likelihood import log_likelihood, modularity, omega_mle, \
+    profile_offset  # noqa: F401
+from .solver import AssortativityMode, _mle_gap, _on_null_plateau, \
+    is_feasible, solve_constrained  # noqa: F401
 
 __all__ = [
     "FitConfig",
@@ -104,11 +109,15 @@ class FitConfig:
 class FitResult:
     """Local optimum returned by :func:`fit`.
 
+    omega and lam are ``solve_constrained`` of the final partition in the
+    run's mode (NONE for modularity runs, which take log_likelihood from
+    it); a zero-degree block's diagonal is 0, or lam in strong mode.
+
     trace holds the strictly increasing objective values of the improving
     moves (full log-likelihood for likelihood runs, Q for modularity runs),
     starting from the initial solution.
 
-    constrained_solves counts the calls of ``solve_constrained``: the
+    constrained_solves counts the search's solves, not the final one: the
     initial partition's when its closed form is infeasible, then each
     candidate that improves the unconstrained value, has an infeasible
     closed form and is not ruled out by the two-cell bound.  filtered_moves
@@ -246,15 +255,6 @@ def _random_partition(n: int, k: int, rng: random.Random) -> list[int]:
     return assign
 
 
-def _lambda_certificate(omega: np.ndarray) -> float:
-    """A threshold witnessing strong feasibility of a feasible omega."""
-    k = omega.shape[0]
-    if k == 1:
-        return float(omega[0, 0])
-    off = ~np.eye(k, dtype=bool)
-    return 0.5 * (float(np.min(np.diag(omega))) + float(np.max(omega[off])))
-
-
 def fit(graph: Graph, cfg: FitConfig) -> FitResult:
     """Run the relocation local search to a local optimum.
 
@@ -283,7 +283,6 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
     sizes = partition.block_sizes()
 
     n_solves = 0
-    current_sol: OmegaSolution | None = None  # None means omega_mle is optimal
     if by_q:  # Q is scored on integers: no x*log(x) table, no profile
         best = modularity(stats)
     else:
@@ -294,11 +293,10 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
         if _mle_gap(stats, mode) is None:
             best = prof + offset
         else:
-            current_sol = solve_constrained(stats, mode)
+            best = solve_constrained(stats, mode).objective
             n_solves += 1
-            best = current_sol.objective
     trace = [best]
-    plateau = current_sol is not None and _on_null_plateau(stats)
+    plateau = n_solves > 0 and _on_null_plateau(stats)
 
     degree = graph.degree
     nbr = [edges_into_blocks(graph, partition, i) for i in range(n)]
@@ -330,7 +328,7 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
                     filtered += 1
                     continue
                 _relocate_stats(stats, d, ki, l2, a, b)
-                accept_sol: OmegaSolution | None = None
+                solved = False
                 if by_q:
                     ok, cand = True, modularity(stats)
                 else:
@@ -342,9 +340,9 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
                         < best - 1e-9 * max(scale, abs(best)):
                     ok = False  # the constraints cost more than the gain
                 elif gap is not None:
-                    accept_sol = solve_constrained(stats, mode)
+                    cand = solve_constrained(stats, mode).objective
+                    solved = True
                     n_solves += 1
-                    cand = accept_sol.objective
                     if plateau and _on_null_plateau(stats):
                         ok, cand = gain > 0, best
                     else:
@@ -360,7 +358,6 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
                         row[b] += w
                     if not by_q:
                         prof = prof_new
-                    current_sol = accept_sol
                     if cand > best:
                         best = cand
                         trace.append(best)
@@ -369,19 +366,15 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
                     a = b
                 else:
                     _relocate_stats(stats, d, ki, l2, b, a)
-                    if accept_sol is None:
+                    if not solved:
                         filtered += 1
 
-    if current_sol is None:
-        omega = omega_mle(stats)
-        lam = _lambda_certificate(omega) if mode is AssortativityMode.STRONG else 0.0
-    else:
-        omega, lam = current_sol.omega, current_sol.lam
+    final = solve_constrained(stats, mode)  # not one of n_solves
     return FitResult(
         partition=partition,
-        omega=omega,
-        lam=lam,
-        log_likelihood=log_likelihood(stats, omega) if by_q else best,
+        omega=final.omega,
+        lam=final.lam,
+        log_likelihood=final.objective if by_q else best,
         modularity=modularity(stats),
         trace=trace,
         sweeps=sweeps,

@@ -61,11 +61,11 @@ class AssortativityMode(str, Enum):
 class OmegaSolution:
     """Result of a constrained solve.
 
-    lam is the diagonal/off-diagonal threshold (meaningful in strong mode)
-    and objective the log-likelihood at omega.  Both solves are exact: their
-    kkt_residual is 0 and they always converge.  iterations counts the
-    entry ratios a strong solve's threshold walk crossed, or the level-set
-    splits of a weak solve.
+    lam is the diagonal/off-diagonal threshold of strong mode (0 in the
+    other modes) and objective the log-likelihood at omega.  Both solves
+    are exact: their kkt_residual is 0 and they always converge.  iterations
+    counts the entry ratios a strong solve's threshold walk crossed, or the
+    level-set splits of a weak solve.
     """
 
     omega: np.ndarray
@@ -178,13 +178,13 @@ def solve_constrained(stats: BlockStats, mode: AssortativityMode) -> OmegaSoluti
 
     mode NONE returns the closed-form maximizer directly.  When the
     closed-form maximizer already satisfies the constraints, it is returned
-    with a valid threshold and no iterations.  Otherwise strong mode is
-    solved exactly by a walk over the sorted entry ratios, and weak mode
-    exactly as an isotonic regression split by minimum cuts, which leaves
-    the entries of blocks with zero degree sum at 0.  The lists of T and of
-    the ratios are built once per call; every branch runs on them and
-    scores its omega with ``likelihood._loglik``, and numpy only wraps the
-    returned omega.
+    with no iterations and, in strong mode, a valid threshold.  Otherwise
+    strong mode is solved exactly by a walk over the sorted entry ratios,
+    and weak mode exactly as an isotonic regression split by minimum cuts,
+    which leaves the entries of blocks with zero degree sum at 0.  The lists
+    of T and of the ratios are built once per call; every branch runs on
+    them and scores its omega with ``likelihood._loglik``, and numpy only
+    wraps the returned omega.
 
     Raises
     ------
@@ -201,7 +201,7 @@ def solve_constrained(stats: BlockStats, mode: AssortativityMode) -> OmegaSoluti
     if not _feasible(ratio, mode):
         return _solve_weak_exact(stats, t)
     # mode NONE, a single block, or a weakly assortative closed form
-    lam = ratio[0][0] if stats.k == 1 and mode is not AssortativityMode.NONE else 0.0
+    lam = ratio[0][0] if mode is AssortativityMode.STRONG else 0.0
     return OmegaSolution(omega=np.array(ratio), lam=lam,
                          objective=_loglik(stats.m_block, t, ratio),
                          kkt_residual=0.0, iterations=0)

@@ -37,6 +37,10 @@ class TestPlan:
             ExperimentPlan(kind="ppm-sweep", models=["mystery"])
         with pytest.raises(ValueError):
             ExperimentPlan(kind="ppm-sweep", quantile=0.0)
+        with pytest.raises(ValueError, match="datasets"):
+            ExperimentPlan(kind="sbm-ensemble", datasets=0)
+        with pytest.raises(ValueError, match="ratio"):
+            ExperimentPlan(kind="ppm-sweep", ratios=[])
 
     def test_json_round_trip(self, tmp_path):
         plan = tiny_ppm_plan()

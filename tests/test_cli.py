@@ -197,6 +197,20 @@ class TestBench:
         report = json.loads((tmp_path / "out" / "real_report.json").read_text())
         assert report["models"]["ac-dc-sbm"]["assortativity_level"] == "strong"
 
+    def test_real_bench_zero_k_fails(self, tmp_path, capsys, triangle_pair):
+        # --k 0 is a block count of 0, not "use the plan's k"
+        graph_path = tmp_path / "net.edges"
+        write_edge_list(triangle_pair, graph_path)
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(
+            {"kind": "real-network", "models": ["dc-sbm"], "runs": 1, "k": 2}))
+        rc = main(["bench", "real", "--plan", str(plan_path), "--graph",
+                   str(graph_path), "--k", "0", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "k must be >= 1" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestUsage:
     def test_unknown_flag_exits_with_usage(self):

@@ -19,7 +19,7 @@ from acsbm import (AssortativityMode, EmptyBlockMoveError, FitConfig,
                    delta_relocation, edges_into_blocks, fit, generate_ppm,
                    is_feasible, load_edge_list, log_likelihood, modularity,
                    multi_start, nmi, profile_log_likelihood, profile_offset,
-                   search)
+                   search, solve_constrained)
 from helpers import legal_moves, random_graph, random_partition
 
 TRIANGLE_OPT = 6 * math.log(2) - 6
@@ -164,6 +164,33 @@ class TestFit:
                 block_stats(g, result.partition), result.omega)
             assert abs(result.log_likelihood - recomputed) \
                 <= 1e-9 * (1 + abs(recomputed))
+
+    def test_omega_and_lambda_are_the_final_solve(self):
+        # Bit for bit, in every model and at K = 1 too.  The triangle with
+        # three isolated nodes leaves zero-degree blocks, whose diagonal
+        # sits at lambda in strong mode (seed 2 at K = 2 and K = 3).
+        karate = load_edge_list(DATA / "karate.edges")
+        lone = Graph(6, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
+        models = [{}, {"mode": "strong"}, {"mode": "weak"},
+                  {"objective": "modularity"}]
+        differ, lifted = [], 0
+        for name, g in (("karate", karate), ("lone", lone)):
+            for kw in models:
+                for k in (1, 2, 3):
+                    for seed in range(8):
+                        r = fit(g, FitConfig(k=k, seed=seed, **kw))
+                        st = block_stats(g, r.partition)
+                        sol = solve_constrained(st, r.mode)
+                        if (r.omega.tobytes(), r.lam.hex()) != \
+                                (sol.omega.tobytes(), sol.lam.hex()):
+                            differ.append((name, kw, k, seed))
+                        if r.mode is AssortativityMode.STRONG and k > 1:
+                            for q in range(k):
+                                if st.kappa[q] == 0:
+                                    assert r.omega[q, q] == r.lam
+                                    lifted += r.lam > 0
+        assert not differ
+        assert lifted
 
     def test_mode_none_log_likelihood_is_profile_value(self):
         rng = random.Random(79)
@@ -353,19 +380,23 @@ class TestSolveScreen:
 
 
 # SHA-256 of the fits below, without the two counters, as produced before
-# solves were screened by the two-cell bound: a change that must keep every
-# fit bit for bit compares against it.
-FIT_DIGEST = "a7adfb8a188320d3445b8b537758a6fb99c0610bacdddee4eaab4d006f1474a8"
+# a fit's omega and lambda came from one solve of its final partition: a
+# change that must keep every fit bit for bit compares against it.  The
+# single-block fits pin lambda at K = 1, and the heavy graph the x*log(x)
+# memo.
+FIT_DIGEST = "b25458c6afed4a4b8fb506ea39dd1e317c0d2e833269274ed3df776aea3f4946"
 
 
 def fit_digest() -> str:
     karate = load_edge_list(DATA / "karate.edges")
     ppm = generate_ppm(PpmSpec(n=100, k=4, avg_degree=16.0, ratio=0.25,
                                seed=1201))[0]
+    heavy = TestSolveScreen.graphs()[3][0]
     models = [{}, {"mode": "strong"}, {"mode": "weak"},
               {"objective": "modularity"}]
-    fits = [(karate, k, seed) for k in (2, 3) for seed in range(10)]
+    fits = [(karate, k, seed) for k in (1, 2, 3) for seed in range(10)]
     fits += [(ppm, 4, seed) for seed in range(4)]
+    fits += [(heavy, 3, seed) for seed in range(4)]
     digest = hashlib.sha256()
     for kw in models:
         for g, k, seed in fits:

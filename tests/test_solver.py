@@ -353,6 +353,11 @@ class TestSolveConstrained:
         st = block_stats(triangle_pair, Partition(1, [0] * 6))
         sol = solve_constrained(st, AssortativityMode.STRONG)
         np.testing.assert_allclose(sol.omega, [[1.0]])
+        assert sol.lam == 1.0
+        # only strong mode has a threshold, at K = 1 as at K > 1
+        for mode in (AssortativityMode.WEAK, AssortativityMode.NONE):
+            sol = solve_constrained(st, mode)
+            assert sol.omega.tolist() == [[1.0]] and sol.lam == 0.0
 
     def test_empty_block_diagonal_rides_threshold(self):
         # block 2 has no degree at all: its diagonal entry is free and must
