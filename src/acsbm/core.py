@@ -189,30 +189,12 @@ class BlockStats:
     kappa: list[int]
     two_m: int
 
-    @property
-    def t_block(self) -> np.ndarray:
-        """Null-model expectations T_rs = kappa_r * kappa_s / 2m."""
-        kap = np.asarray(self.kappa, dtype=float)
-        return np.outer(kap, kap) / float(self.two_m)
-
-    def m_matrix(self) -> np.ndarray:
-        return np.asarray(self.m_block, dtype=np.int64)
-
     def copy(self) -> "BlockStats":
         return BlockStats(self.k, [row[:] for row in self.m_block],
                           list(self.kappa), self.two_m)
 
-    def check(self) -> None:
-        """Validate the 2m identities; raises AssertionError on corruption."""
-        assert sum(self.kappa) == self.two_m
-        assert sum(map(sum, self.m_block)) == self.two_m
-        for r in range(self.k):
-            assert self.kappa[r] == sum(self.m_block[r])
-            for s in range(self.k):
-                assert self.m_block[r][s] == self.m_block[s][r] >= 0
 
-
-def parse_edge_list(text, n_nodes: int | None = None, index_base: int = 0) -> Graph:
+def parse_edge_list(text, *, index_base: int = 0) -> Graph:
     """Parse a whitespace-separated edge list into a Graph.
 
     Each non-comment line is "u v" or "u v w" with integer ids and an
@@ -225,9 +207,7 @@ def parse_edge_list(text, n_nodes: int | None = None, index_base: int = 0) -> Gr
     ----------
     text : str or bytes
         Edge-list content.
-    n_nodes : int, optional
-        Node count override (same effect as an "n" directive).
-    index_base : int
+    index_base : int, keyword-only
         0 for 0-based ids (default) or 1 for 1-based input files.
     """
     if isinstance(text, bytes):
@@ -235,7 +215,7 @@ def parse_edge_list(text, n_nodes: int | None = None, index_base: int = 0) -> Gr
     if index_base not in (0, 1):
         raise ValueError(f"index_base must be 0 or 1, got {index_base}")
 
-    declared = n_nodes
+    declared = None
     entries: list[tuple[int, int, int]] = []
     max_id = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -282,9 +262,9 @@ def parse_edge_list(text, n_nodes: int | None = None, index_base: int = 0) -> Gr
     return Graph(n, entries)
 
 
-def load_edge_list(path, n_nodes: int | None = None, index_base: int = 0) -> Graph:
+def load_edge_list(path, *, index_base: int = 0) -> Graph:
     with open(path, "rb") as fh:
-        return parse_edge_list(fh.read(), n_nodes=n_nodes, index_base=index_base)
+        return parse_edge_list(fh.read(), index_base=index_base)
 
 
 def write_edge_list(graph: Graph, path) -> None:
@@ -296,7 +276,8 @@ def write_edge_list(graph: Graph, path) -> None:
 
 
 def read_labels(path) -> list[int]:
-    """Read a label file: one block id per line, line number = node id."""
+    """Read a label file: one block id per line, the i-th label line (blank
+    and '#' lines skipped) holding the block of node i."""
     labels = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -325,9 +306,7 @@ def block_stats(graph: Graph, partition: Partition) -> BlockStats:
     m = [[0] * k for _ in range(k)]
     for u, v, w in graph.edges:
         r, s = assign[u], assign[v]
-        if u == v:
-            m[r][r] += 2 * w
-        elif r == s:
+        if r == s:
             m[r][r] += 2 * w
         else:
             m[r][s] += w

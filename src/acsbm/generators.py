@@ -8,6 +8,7 @@ maximize.  Rates above 1 are legal: the output is a multigraph.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,6 +47,9 @@ class PpmSpec:
             raise ValueError(f"ratio must lie in [0, 1], got {self.ratio}")
         if not 0 < self.avg_degree < self.n:
             raise ValueError(f"avg_degree must lie in (0, n), got {self.avg_degree}")
+        if self.k == self.n and (self.ratio == 0 or self.n == 1):
+            raise ValueError("no node pair can carry an edge: k = n puts each node in "
+                             "a block of its own, and ratio 0 or n = 1 leaves none across")
 
 
 @dataclass(frozen=True)
@@ -62,8 +66,8 @@ class SbmSpec:
         if self.n < 1 or self.k < 1 or self.k > self.n:
             raise ValueError(f"need 1 <= k <= n, got n={self.n}, k={self.k}")
         for lo, hi in (self.diag_range, self.offdiag_range):
-            if lo < 0 or hi < lo:
-                raise ValueError(f"invalid rate range [{lo}, {hi}]")
+            if not 0 <= lo <= hi < math.inf:
+                raise ValueError(f"invalid rate range [{lo}, {hi}]: need finite 0 <= lo <= hi")
 
 
 def ppm_rates(n: int, k: int, avg_degree: float, ratio: float) -> tuple[float, float]:

@@ -19,13 +19,13 @@ cuts finds.  Both run on Python lists, with ratios and objective from
 ``acsbm.likelihood``'s list kernels; numpy only wraps the returned omega,
 as at a fit's block counts its per-call overhead dominates.
 ``_satisfied`` is the one constraint test, on each row's diagonal entry and
-largest other entry: ``_feasible`` applies it to a given omega
-(``is_feasible``) and to the closed form inside ``solve_constrained``.  The
-search screens each candidate's closed form with ``_mle_gap``, which
-applies it to the closed-form ratios and, when it fails, bounds from below
-how much likelihood the constraints cost, by the exact optimum of the
-two-cell problem of one violated pair.  ``lambda_profile_oracle`` solves
-strong mode by golden-section search, to cross-check it in tests.
+largest other entry: ``is_feasible`` applies it to a given omega and
+``solve_constrained`` to the closed form.  The search screens each
+candidate's closed form with ``_mle_gap``, which applies it to the
+closed-form ratios and, when it fails, bounds from below how much
+likelihood the constraints cost, by the exact optimum of the two-cell
+problem of one violated pair.  ``lambda_profile_oracle`` solves
+strong mode by golden-section search over the threshold, to cross-check it.
 """
 
 from __future__ import annotations
@@ -95,17 +95,14 @@ def _satisfied(diag, off, mode: AssortativityMode, tol: float = 0.0) -> bool:
     return all(_assortative_rows(diag, off, tol))
 
 
-def _feasible(rows, mode: AssortativityMode, tol: float = 0.0) -> bool:
-    """The constraints of ``mode``, up to ``tol``, on a nested-list omega."""
-    if mode is AssortativityMode.NONE or len(rows) <= 1:
-        return True
-    return _satisfied(*_row_ends(rows), mode, tol)
-
-
 def is_feasible(omega, mode: AssortativityMode, tol: float = 0.0) -> bool:
     """Check the assortativity constraints of ``mode`` up to ``tol``; omega
     must be square, finite, symmetric and nonnegative (else ValueError)."""
-    return _feasible(_as_omega(omega).tolist(), AssortativityMode(mode), tol)
+    rows = _as_omega(omega).tolist()
+    mode = AssortativityMode(mode)
+    if mode is AssortativityMode.NONE or len(rows) <= 1:
+        return True
+    return _satisfied(*_row_ends(rows), mode, tol)
 
 
 def _phi(rho: float, lam: float) -> float:
@@ -138,7 +135,7 @@ def _mle_gap(stats: BlockStats, mode: AssortativityMode) -> float | None:
     The search calls this for every improving candidate, so it computes
     the ratios of ``_mle_lists`` with the same float expressions but in one
     pass over the upper triangle, keeping each row's largest off-diagonal
-    cell: composed from ``_mle_lists`` and ``_feasible`` it took about
+    cell: composed from ``_mle_lists`` and ``_row_ends`` it took about
     twice as long per call, which made strong fits on the n = 100 desk
     fixtures about 1.25x slower.  The constraint test itself is
     ``_satisfied``, as for ``is_feasible``.
@@ -198,7 +195,8 @@ def solve_constrained(stats: BlockStats, mode: AssortativityMode) -> OmegaSoluti
     t, ratio = _mle_lists(stats)
     if mode is AssortativityMode.STRONG and stats.k > 1:
         return _solve_strong_exact(stats, t, ratio)
-    if not _feasible(ratio, mode):
+    if (mode is AssortativityMode.WEAK and stats.k > 1
+            and not _satisfied(*_row_ends(ratio), mode)):
         return _solve_weak_exact(stats, t)
     # mode NONE, a single block, or a weakly assortative closed form
     lam = ratio[0][0] if mode is AssortativityMode.STRONG else 0.0
@@ -347,18 +345,18 @@ def _on_null_plateau(stats: BlockStats) -> bool:
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_ORACLE_BRACKET = 1e-10  # width at which the golden-section search stops
 
 
-def lambda_profile_oracle(stats: BlockStats, lambdas=None,
-                          tol: float = 1e-10) -> OmegaSolution:
+def lambda_profile_oracle(stats: BlockStats) -> OmegaSolution:
     """Strong-mode reference solver via the scalar threshold profile.
 
     For fixed lambda the problem separates per entry: each diagonal optimum
     is max(m_qq/T_qq, lambda) and each off-diagonal optimum is
     min(m_rs/T_rs, lambda) clamped at 0 (entries with T = 0 use ratio 0).
     The induced objective g(lambda) is concave, so a golden-section search
-    over lambda in [0, max(omega_mle) + 1] locates the optimum.  Passing an
-    explicit ``lambdas`` grid evaluates g on the grid instead.
+    over lambda in [0, max(omega_mle) + 1] locates the optimum, to a bracket
+    of width 1e-10; iterations counts the evaluations of g.
     """
     ratio = omega_mle(stats)
 
@@ -370,36 +368,22 @@ def lambda_profile_oracle(stats: BlockStats, lambdas=None,
     def value(lam: float) -> float:
         return log_likelihood(stats, omega_at(lam))
 
-    evals = 0
-    if lambdas is not None:
-        best_lam = None
-        best_val = -math.inf
-        for lam in lambdas:
-            v = value(float(lam))
-            evals += 1
-            if v > best_val:
-                best_lam, best_val = float(lam), v
-        if best_lam is None:
-            raise ValueError("empty lambda grid")
-        lo = hi = best_lam
-    else:
-        lo, hi = 0.0, float(np.max(ratio)) + 1.0
-        c = hi - _INVPHI * (hi - lo)
-        d = lo + _INVPHI * (hi - lo)
-        fc, fd = value(c), value(d)
-        evals = 2
-        while hi - lo > tol:
-            if fc >= fd:
-                hi, d, fd = d, c, fc
-                c = hi - _INVPHI * (hi - lo)
-                fc = value(c)
-            else:
-                lo, c, fc = c, d, fd
-                d = lo + _INVPHI * (hi - lo)
-                fd = value(d)
-            evals += 1
+    lo, hi = 0.0, float(np.max(ratio)) + 1.0
+    c = hi - _INVPHI * (hi - lo)
+    d = lo + _INVPHI * (hi - lo)
+    fc, fd = value(c), value(d)
+    evals = 2
+    while hi - lo > _ORACLE_BRACKET:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INVPHI * (hi - lo)
+            fc = value(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INVPHI * (hi - lo)
+            fd = value(d)
+        evals += 1
 
     lam = 0.5 * (lo + hi)
-    omega = omega_at(lam)
-    return OmegaSolution(omega=omega, lam=lam, objective=value(lam),
+    return OmegaSolution(omega=omega_at(lam), lam=lam, objective=value(lam),
                          kkt_residual=0.0, iterations=evals)

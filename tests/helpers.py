@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 
-from acsbm import BlockStats, Graph, Partition
+from acsbm import BlockStats, Graph, Partition, log_likelihood, omega_mle
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.4,
@@ -54,12 +54,29 @@ def legal_moves(partition: Partition) -> list[tuple[int, int]]:
             for b in range(partition.k) if b != a]
 
 
+def numpy_m_t(stats: BlockStats) -> tuple[np.ndarray, np.ndarray]:
+    """The block edge counts m_rs (as floats) and the null-model
+    expectations T_rs = kappa_r kappa_s / 2m, in numpy."""
+    kappa = np.asarray(stats.kappa, dtype=float)
+    return (np.asarray(stats.m_block, dtype=float),
+            np.outer(kappa, kappa) / float(stats.two_m))
+
+
+def threshold_profile(stats: BlockStats, lam: float) -> float:
+    """g(lam): the log-likelihood of omega_mle with its off-diagonal entries
+    capped and its diagonal floored at lam, the strong optimum for that
+    threshold."""
+    ratio = omega_mle(stats)
+    w = np.minimum(ratio, lam)
+    np.fill_diagonal(w, np.maximum(np.diag(ratio), lam))
+    return log_likelihood(stats, w)
+
+
 def numpy_log_likelihood(stats: BlockStats, omega) -> float:
     """Reference log-likelihood in numpy, sharing no code with
     ``acsbm.likelihood``: -inf if some omega_rs = 0 while m_rs > 0."""
     w = np.asarray(omega, dtype=float)
-    m = stats.m_matrix().astype(float)
-    t = stats.t_block
+    m, t = numpy_m_t(stats)
     pos = m > 0
     if np.any(pos & (w == 0)):
         return float("-inf")

@@ -40,6 +40,22 @@ class TestGenerate:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["generate-sbm", "--n", "10", "--k", "2", "--diag-range", "nan,1"],
+        ["generate-sbm", "--n", "10", "--k", "2", "--diag-range", "0,inf"],
+        ["generate-ppm", "--n", "4", "--k", "4", "--avg-degree", "2",
+         "--ratio", "0"],
+        ["generate-ppm", "--n", "1", "--k", "1", "--avg-degree", "0.5",
+         "--ratio", "0.5"],
+    ])
+    def test_degenerate_spec_fails_cleanly(self, tmp_path, capsys, argv):
+        rc = main(argv + ["--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestFit:
     def test_triangles_reach_global_optimum(self, tmp_path, triangles_file):
@@ -184,6 +200,18 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
         assert not (tmp_path / "out").exists()
+
+    def test_non_finite_sbm_range_fails_cleanly(self, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(
+            {"kind": "sbm-ensemble", "n": 10, "k": 2, "datasets": 1,
+             "diag_range": [0.4, math.inf]}))
+        rc = main(["bench", "sbm", "--plan", str(plan_path),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "finite" in err and "Traceback" not in err
 
     def test_real_bench(self, tmp_path, capsys, triangle_pair):
         graph_path = tmp_path / "net.edges"

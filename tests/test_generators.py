@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -65,6 +66,9 @@ class TestPpm:
         dict(n=100, k=4, avg_degree=-1, ratio=0.2),
         dict(n=100, k=4, avg_degree=200, ratio=0.2),
         dict(n=10, k=20, avg_degree=3, ratio=0.2),
+        # k == n with ratio 0, or a single node: no pair can carry an edge
+        dict(n=4, k=4, avg_degree=2, ratio=0.0),
+        dict(n=1, k=1, avg_degree=0.5, ratio=0.5),
     ])
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -130,6 +134,12 @@ class TestSbm:
             SbmSpec(n=10, k=2, diag_range=(-0.1, 0.5))
         with pytest.raises(ValueError):
             SbmSpec(n=10, k=2, offdiag_range=(0.5, 0.1))
+        for bad in ((math.nan, 1.0), (0.0, math.nan), (0.0, math.inf),
+                    (-math.inf, 0.5)):
+            with pytest.raises(ValueError, match="finite"):
+                SbmSpec(n=10, k=2, diag_range=bad)
+            with pytest.raises(ValueError, match="finite"):
+                SbmSpec(n=10, k=2, offdiag_range=bad)
 
 
 class TestWriteInstance:

@@ -586,3 +586,51 @@ def test_no_worker_outlives_the_interpreter():
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+def test_forked_child_starts_its_own_pool():
+    # A child forked after the parent's pool started must not reuse that
+    # pool: its management thread did not survive the fork, so the child's
+    # calls would wait on it for ever.  The child runs the same fits on a
+    # pool of its own, and a hang fails the test through the timeout.
+    script = (
+        "import os, random, sys, traceback, warnings\n"
+        "from acsbm import FitConfig, multi_start, search\n"
+        "from helpers import random_graph\n"
+        "g = random_graph(random.Random(108), 20, p=0.3)\n"
+        "cfg = FitConfig(k=3, seed=0)\n"
+        "multi_start(g, cfg, runs=6, workers=2)\n"
+        "parent_pool = search._pool[1]\n"
+        "with warnings.catch_warnings():\n"
+        "    warnings.simplefilter('ignore', DeprecationWarning)\n"
+        "    pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    code = 1\n"
+        "    try:\n"
+        "        pooled = multi_start(g, cfg, runs=6, workers=2)\n"
+        "        alone = multi_start(g, cfg, runs=6, workers=1)\n"
+        "        assert [r.to_dict() for r in pooled] == \\\n"
+        "            [r.to_dict() for r in alone]\n"
+        "        assert search._pool[1] is not parent_pool\n"
+        "        search._shutdown_pool()\n"
+        "        code = 0\n"
+        "    except BaseException:\n"
+        "        traceback.print_exc()\n"
+        "    finally:\n"
+        "        sys.stderr.flush()\n"
+        "        os._exit(code)\n"
+        "_, status = os.waitpid(pid, 0)\n"
+        "sys.exit(os.waitstatus_to_exitcode(status))\n")
+    paths = [Path(search.__file__).parent.parent, Path(__file__).parent]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
+    proc = subprocess.Popen(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+         "-c", script], env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the forked child's multi_start hung")
+    assert proc.returncode == 0 and err == "", err

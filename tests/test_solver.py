@@ -9,7 +9,8 @@ from acsbm import (AssortativityMode, BlockStats, OmegaSolution, Partition,
                    block_stats, is_feasible, lambda_profile_oracle,
                    log_likelihood, omega_mle, solve_constrained)
 from acsbm.solver import _mle_gap, _on_null_plateau
-from helpers import numpy_log_likelihood, random_block_stats
+from helpers import (numpy_log_likelihood, numpy_m_t, random_block_stats,
+                     threshold_profile)
 
 
 def symmetric(rows):
@@ -194,12 +195,8 @@ class TestOracle:
         sol = lambda_profile_oracle(st)
         # off-diagonal optimum is 0 regardless of lambda
         assert sol.omega[0, 1] == pytest.approx(0.0, abs=1e-9)
-        grid = lambda_profile_oracle(st, lambdas=[0.0, 0.5, 1.0, 2.0])
-        assert grid.objective <= sol.objective + 1e-12
-
-    def test_explicit_grid_picks_best(self):
-        grid = lambda_profile_oracle(BINDING_STATS, lambdas=[0.5, 1.0, 1.5])
-        assert grid.lam == 1.0
+        grid = max(threshold_profile(st, lam) for lam in [0.0, 0.5, 1.0, 2.0])
+        assert grid <= sol.objective + 1e-12
 
 
 class TestSolveConstrained:
@@ -274,9 +271,9 @@ class TestSolveConstrained:
             sol = solve_constrained(st, weak)
             assert is_feasible(sol.omega, weak, 0.0)
             assert sol.kkt_residual == 0.0 and sol.converged
-            m = st.m_matrix().astype(float)
+            m, t = numpy_m_t(st)
             half = np.where(np.eye(st.k, dtype=bool), 0.5, 1.0)
-            res = np.triu(half * (m - st.t_block * sol.omega))
+            res = np.triu(half * (m - t * sol.omega))
             tol = 1e-12 * m.sum()
             assert abs(res.sum()) <= tol
             assert abs((res * sol.omega).sum()) <= tol
@@ -302,9 +299,9 @@ class TestSolveConstrained:
             ref = lambda_profile_oracle(st)
             assert sol.objective >= ref.objective - 1e-12 * abs(ref.objective)
             lam = sol.lam
-            near = lambda_profile_oracle(
-                st, lambdas=[lam * (1 - 1e-6), lam, lam * (1 + 1e-6)])
-            assert near.lam == lam
+            at = threshold_profile(st, lam)
+            assert threshold_profile(st, lam * (1 - 1e-6)) < at
+            assert threshold_profile(st, lam * (1 + 1e-6)) <= at
 
     def test_strong_solve_is_the_clamped_closed_form(self):
         # omega is omega_mle with off-diagonals capped and diagonals floored
