@@ -118,6 +118,9 @@ class ExperimentPlan:
             raise ValueError("quantile must lie in (0, 1]")
         if self.datasets < 1 or not self.ratios:
             raise ValueError("a plan needs datasets >= 1 and at least one ratio")
+        for key, values in (("models", self.models), ("ratios", self.ratios)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{key} must list each entry once, got {values}")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentPlan":

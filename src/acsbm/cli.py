@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .benchmark import (ExperimentPlan, MODEL_NAMES, model_fit_config,
@@ -61,8 +60,6 @@ def _cmd_fit(args) -> int:
     graph = load_edge_list(args.graph, index_base=1 if args.one_based else 0)
     mode = AssortativityMode(args.mode) if args.mode else None
     cfg = model_fit_config(args.model, args.k, args.seed, mode=mode)
-    if args.max_sweeps is not None:
-        cfg = replace(cfg, max_sweeps=args.max_sweeps)
     results = multi_start(graph, cfg, args.runs, workers=args.workers)
     best = results[0]
     payload = {
@@ -98,6 +95,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.experiment != "real" and (args.graph, args.k) != (None, None):
+        raise ValueError("--graph and --k apply to bench real only")
     plan = ExperimentPlan.from_json(args.plan)
     if args.workers is not None:
         plan.workers = args.workers
@@ -153,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="assortativity constraints (ac-dc-sbm only)")
     g.add_argument("--runs", type=int, default=1)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--max-sweeps", type=int, default=None)
     g.add_argument("--workers", type=int, default=1,
                    help="processes to spread the runs over (default 1)")
     g.add_argument("--one-based", action="store_true",

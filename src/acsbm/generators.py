@@ -68,6 +68,9 @@ class SbmSpec:
         for lo, hi in (self.diag_range, self.offdiag_range):
             if not 0 <= lo <= hi < math.inf:
                 raise ValueError(f"invalid rate range [{lo}, {hi}]: need finite 0 <= lo <= hi")
+        if self.n == 1 or self.diag_range[1] == 0 and (
+                self.k == 1 or self.offdiag_range[1] == 0):
+            raise ValueError("no node pair can carry an edge: n = 1 or all rates 0")
 
 
 def ppm_rates(n: int, k: int, avg_degree: float, ratio: float) -> tuple[float, float]:

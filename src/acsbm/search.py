@@ -35,10 +35,11 @@ The sweep keeps only objective values: the returned Omega and lambda are
 one ``solve_constrained`` of the final partition.
 
 Many disassortative partitions have the null constrained optimum Omega = 1,
-likelihood -m (``solver._on_null_plateau``).  On that plateau the likelihood
-search also takes moves along it that raise modularity (which is <= 0
-there), by the same integer test, until a neighbour off the plateau scores
-higher.
+likelihood -m (``solver._on_null_plateau``).  While on that plateau, the
+search takes a candidate with an infeasible closed form that stays on it,
+unsolved, iff it raises modularity (<= 0 there), by the same integer test;
+the others are screened and solved as above, and the first to score
+higher leaves the plateau.
 """
 
 from __future__ import annotations
@@ -88,14 +89,11 @@ class FitConfig:
     k: int
     mode: AssortativityMode = AssortativityMode.NONE
     seed: int = 0
-    max_sweeps: int = 1000
     objective: str = OBJECTIVE_LIKELIHOOD
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
         if self.objective not in (OBJECTIVE_LIKELIHOOD, OBJECTIVE_MODULARITY):
             raise ValueError(f"unknown objective {self.objective!r}")
         object.__setattr__(self, "mode", AssortativityMode(self.mode))
@@ -120,9 +118,9 @@ class FitResult:
     constrained_solves counts the search's solves, not the final one: the
     initial partition's when its closed form is infeasible, then each
     candidate that improves the unconstrained value, has an infeasible
-    closed form and is not ruled out by the two-cell bound.  filtered_moves
-    counts the candidates dropped unsolved: those that do not improve the
-    unconstrained value (or Q), and those the bound rules out.  Their sum
+    closed form, does not stay on the null plateau and is not ruled out by
+    the two-cell bound.  filtered_moves counts the candidates rejected
+    unsolved; a move taken along the plateau counts in neither.  Their sum
     depends on the search path alone, not on how tight the bound is.
     """
 
@@ -261,7 +259,9 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
     Starts from a seeded random partition with all blocks populated, solves
     the constrained subproblem for the initial block parameters, then sweeps
     over all (node, block) candidates, applying first improvements, until a
-    full sweep yields none.
+    full sweep yields none.  It always ends: each accepted move strictly
+    raises the objective, or Q on the null plateau, left for good once the
+    objective rises, so no partition recurs.
 
     Each node's edge weight into every block is read from a table built once
     per fit in O(m) and updated in O(deg(i)) by each accepted move of node i,
@@ -288,7 +288,6 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
     else:
         h = _xlogx(graph)
         offset = profile_offset(two_m)
-        scale = max(1.0, offset)  # of the likelihood, for the bound's margin
         prof = _profile(m, kappa, h)
         if _mle_gap(stats, mode) is None:
             best = prof + offset
@@ -304,7 +303,7 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
     sweeps = 0
     order = list(range(n))
     improved = True
-    while improved and sweeps < cfg.max_sweeps:
+    while improved:
         improved = False
         sweeps += 1
         rng.shuffle(order)
@@ -336,17 +335,16 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
                     cand = prof_new + offset
                     ok = cand > best
                 gap = _mle_gap(stats, mode) if ok else None
-                if gap is not None and not plateau and cand - gap \
-                        < best - 1e-9 * max(scale, abs(best)):
+                if gap is not None and plateau and _on_null_plateau(stats):
+                    ok, cand = gain > 0, best  # along the plateau, by Q
+                elif gap is not None and cand - gap \
+                        < best - 1e-9 * max(1.0, offset, abs(best)):
                     ok = False  # the constraints cost more than the gain
                 elif gap is not None:
                     cand = solve_constrained(stats, mode).objective
                     solved = True
                     n_solves += 1
-                    if plateau and _on_null_plateau(stats):
-                        ok, cand = gain > 0, best
-                    else:
-                        ok = cand > best
+                    ok = cand > best
                 if ok:
                     assign[i] = b
                     sizes[a] -= 1

@@ -62,18 +62,18 @@ class OmegaSolution:
     """Result of a constrained solve.
 
     lam is the diagonal/off-diagonal threshold of strong mode (0 in the
-    other modes) and objective the log-likelihood at omega.  Both solves
-    are exact: their kkt_residual is 0 and they always converge.  iterations
+    other modes) and objective the log-likelihood at omega.  iterations
     counts the entry ratios a strong solve's threshold walk crossed, or the
-    level-set splits of a weak solve.
+    level-set splits of a weak solve.  Both solves are exact: kkt_residual
+    and converged are the constants 0 and True, not fields.
     """
 
     omega: np.ndarray
     lam: float
     objective: float
-    kkt_residual: float
     iterations: int
-    converged: bool = True
+    kkt_residual = 0.0
+    converged = True
 
 
 def _row_ends(rows) -> tuple[list[float], list[float]]:
@@ -201,8 +201,7 @@ def solve_constrained(stats: BlockStats, mode: AssortativityMode) -> OmegaSoluti
     # mode NONE, a single block, or a weakly assortative closed form
     lam = ratio[0][0] if mode is AssortativityMode.STRONG else 0.0
     return OmegaSolution(omega=np.array(ratio), lam=lam,
-                         objective=_loglik(stats.m_block, t, ratio),
-                         kkt_residual=0.0, iterations=0)
+                         objective=_loglik(stats.m_block, t, ratio), iterations=0)
 
 
 def _solve_strong_exact(stats: BlockStats, t, ratio) -> OmegaSolution:
@@ -248,8 +247,7 @@ def _solve_strong_exact(stats: BlockStats, t, ratio) -> OmegaSolution:
     for r in range(k):
         omega[r][r] = max(ratio[r][r], lam)
     return OmegaSolution(omega=np.array(omega), lam=lam,
-                         objective=_loglik(m, t, omega),
-                         kkt_residual=0.0, iterations=crossed)
+                         objective=_loglik(m, t, omega), iterations=crossed)
 
 
 def _max_closure(gains, above) -> list[int]:
@@ -321,8 +319,7 @@ def _solve_weak_exact(stats: BlockStats, t) -> OmegaSolution:
             r, s = cells[i]
             omega[r][s] = omega[s][r] = c
     return OmegaSolution(omega=np.array(omega), lam=0.0,
-                         objective=_loglik(stats.m_block, t, omega),
-                         kkt_residual=0.0, iterations=splits)
+                         objective=_loglik(stats.m_block, t, omega), iterations=splits)
 
 
 def _on_null_plateau(stats: BlockStats) -> bool:
@@ -386,4 +383,4 @@ def lambda_profile_oracle(stats: BlockStats) -> OmegaSolution:
 
     lam = 0.5 * (lo + hi)
     return OmegaSolution(omega=omega_at(lam), lam=lam, objective=value(lam),
-                         kkt_residual=0.0, iterations=evals)
+                         iterations=evals)

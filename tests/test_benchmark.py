@@ -41,6 +41,11 @@ class TestPlan:
             ExperimentPlan(kind="sbm-ensemble", datasets=0)
         with pytest.raises(ValueError, match="ratio"):
             ExperimentPlan(kind="ppm-sweep", ratios=[])
+        # a repeat would fit the same jobs again under the same CSV keys
+        with pytest.raises(ValueError, match="models"):
+            ExperimentPlan(kind="ppm-sweep", models=["dc-sbm", "dc-sbm"])
+        with pytest.raises(ValueError, match="ratios"):
+            ExperimentPlan(kind="ppm-sweep", ratios=[0.1, 0.25, 0.1])
 
     def test_json_round_trip(self, tmp_path):
         plan = tiny_ppm_plan()

@@ -47,6 +47,10 @@ class TestGenerate:
          "--ratio", "0"],
         ["generate-ppm", "--n", "1", "--k", "1", "--avg-degree", "0.5",
          "--ratio", "0.5"],
+        ["generate-sbm", "--n", "10", "--k", "2", "--diag-range", "0,0",
+         "--offdiag-range", "0,0"],
+        ["generate-sbm", "--n", "10", "--k", "1", "--diag-range", "0,0"],
+        ["generate-sbm", "--n", "1", "--k", "1"],
     ])
     def test_degenerate_spec_fails_cleanly(self, tmp_path, capsys, argv):
         rc = main(argv + ["--out", str(tmp_path / "x")])
@@ -96,16 +100,6 @@ class TestFit:
         rc = main(["fit", "--graph", "/nonexistent.edges", "--k", "2"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("max_sweeps", ["0", "-3"])
-    def test_max_sweeps_below_one_fails(self, capsys, triangles_file,
-                                        max_sweeps):
-        rc = main(["fit", "--graph", str(triangles_file), "--k", "2",
-                   "--max-sweeps", max_sweeps])
-        assert rc == 1
-        out, err = capsys.readouterr()
-        assert err.startswith("error:") and "max_sweeps" in err
-        assert "best" not in out
 
     def test_workers_below_one_fails(self, capsys, triangles_file):
         rc = main(["fit", "--graph", str(triangles_file), "--k", "2",
@@ -213,6 +207,24 @@ class TestBench:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("experiment, kind",
+                             [("ppm", "ppm-sweep"), ("sbm", "sbm-ensemble")])
+    @pytest.mark.parametrize("flags",
+                             [["--k", "5"], ["--graph", "/nonexistent.edges"]])
+    def test_real_only_flags_rejected(self, tmp_path, capsys, experiment,
+                                      kind, flags):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(
+            {"kind": kind, "models": ["dc-sbm"], "runs": 1, "n": 20, "k": 2,
+             "datasets": 1}))
+        rc = main(["bench", experiment, "--plan", str(plan_path),
+                   "--out", str(tmp_path / "out")] + flags)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "real only" in err
+        assert not (tmp_path / "out").exists()
+
     def test_real_bench(self, tmp_path, capsys, triangle_pair):
         graph_path = tmp_path / "net.edges"
         write_edge_list(triangle_pair, graph_path)
@@ -242,9 +254,13 @@ class TestBench:
 
 class TestUsage:
     def test_unknown_flag_exits_with_usage(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["fit", "--nope"])
-        assert exc.value.code == 2
+        # argparse exits before the graph file is read
+        for argv in (["fit", "--nope"],
+                     ["fit", "--graph", "/nonexistent.edges", "--k", "2",
+                      "--max-sweeps", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_no_command_exits(self):
         with pytest.raises(SystemExit):

@@ -140,6 +140,12 @@ class TestSbm:
                 SbmSpec(n=10, k=2, diag_range=bad)
             with pytest.raises(ValueError, match="finite"):
                 SbmSpec(n=10, k=2, offdiag_range=bad)
+        for spec in ({"n": 10, "k": 2, "diag_range": (0.0, 0.0),
+                      "offdiag_range": (0.0, 0.0)},
+                     {"n": 10, "k": 1, "diag_range": (0.0, 0.0)},
+                     {"n": 1, "k": 1}):
+            with pytest.raises(ValueError, match="no node pair"):
+                SbmSpec(**spec)
 
 
 class TestWriteInstance:

@@ -20,6 +20,7 @@ from acsbm import (AssortativityMode, EmptyBlockMoveError, FitConfig,
                    is_feasible, load_edge_list, log_likelihood, modularity,
                    multi_start, nmi, profile_log_likelihood, profile_offset,
                    search, solve_constrained)
+from acsbm.solver import _mle_gap, _on_null_plateau
 from helpers import legal_moves, random_graph, random_partition
 
 TRIANGLE_OPT = 6 * math.log(2) - 6
@@ -142,6 +143,20 @@ class TestFit:
         for r in results:
             assert nmi(r.partition, [0] * 5 + [1] * 5) == pytest.approx(1.0)
             assert all(b > a for a, b in zip(r.trace, r.trace[1:]))
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    def test_plateau_walk_makes_no_solve(self, mode):
+        # Every K=2 partition of the complete bipartite graph K(3,4) is on
+        # the null plateau with an infeasible closed form: the start is
+        # solved once, and each move along the plateau is decided by Q alone.
+        g = Graph(7, [(i, 3 + j, 1) for i in range(3) for j in range(4)])
+        for bits in range(1, 2**7 - 1):
+            st = block_stats(g, Partition(2, [bits >> i & 1 for i in range(7)]))
+            assert _on_null_plateau(st) and _mle_gap(st, mode) is not None
+        for seed in range(10):
+            r = fit(g, FitConfig(k=2, mode=mode, seed=seed))
+            assert r.constrained_solves == 1, seed
+            assert r.trace == [-g.total_weight] and r.sweeps > 1, seed
 
     def test_trace_strictly_increasing(self):
         rng = random.Random(71)
@@ -276,15 +291,6 @@ class TestFit:
             fit(triangle_pair, FitConfig(k=7, seed=0))
         with pytest.raises(ValueError):
             fit(Graph(3, []), FitConfig(k=2, seed=0))
-        for max_sweeps in (0, -3):
-            with pytest.raises(ValueError, match="max_sweeps"):
-                FitConfig(k=2, max_sweeps=max_sweeps)
-
-    def test_max_sweeps_caps_search(self):
-        rng = random.Random(101)
-        g = random_graph(rng, 30, p=0.3)
-        result = fit(g, FitConfig(k=4, seed=0, max_sweeps=1))
-        assert result.sweeps == 1
 
     def test_mode_accepts_strings(self, triangle_pair):
         result = fit(triangle_pair, FitConfig(k=2, mode="strong", seed=3))
