@@ -134,8 +134,11 @@ def generate_sbm(spec: SbmSpec) -> tuple[Graph, Partition, np.ndarray]:
 def write_instance(prefix, graph: Graph, truth: Partition, meta: dict) -> dict:
     """Write <prefix>.edges, <prefix>.labels and a <prefix>.json sidecar.
 
-    Returns the paths written, keyed by kind.
+    Returns the paths written, keyed by kind.  A graph with no edges, which
+    no model can be fitted to, raises ValueError before anything is written.
     """
+    if graph.total_weight == 0:
+        raise ValueError("the sampled graph has no edges")
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     paths = {

@@ -14,12 +14,11 @@ its unconstrained maximizer is omega_rs = m_rs / T_rs, and the profile form
 differs from L at the maximizer by the partition-independent constant
 ``profile_offset`` = m log(2m) - m.
 
-``_loglik``, ``_expected`` and ``_mle_lists`` are the one list
-implementation of L, of T and of m / T; the exact solves in
-``acsbm.solver`` call them too (``solver._mle_gap``, run on every
-improving candidate, repeats their float expressions in one pass over the
-upper triangle).  ``_as_omega`` is the one validation of a
-given Omega, here, in ``is_feasible`` and in the metrics.  L and P are
+``_mle_cells`` is the one implementation of T and m / T: one pass over
+the upper triangle, whose cells the search's screen, the exact solves in
+``acsbm.solver`` and ``omega_mle`` all read.  ``_loglik`` is the one list
+implementation of L, on such cells.  ``_as_omega`` is the one validation
+of a given Omega, here, in ``is_feasible`` and in the metrics.  L and P are
 summed by the correctly rounded ``math.fsum``, so relabelling the blocks
 leaves them unchanged bit for bit.  L is -inf iff some omega_rs = 0 has
 m_rs > 0.
@@ -59,39 +58,65 @@ def _as_omega(omega, k: int | None = None) -> np.ndarray:
     return w
 
 
-def _expected(stats: BlockStats) -> list[list[float]]:
-    """Nested lists of T_rs = kappa_r kappa_s / 2m."""
+def _mle_cells(stats: BlockStats):
+    """The closed form on and above the diagonal, in one pass: the diagonal
+    cells, the off-diagonal ones (r < s, row by row) and each row's largest
+    off-diagonal one ((0, 0.0, 0.0) if none is positive), each cell
+    (m_rs, T_rs = kappa_r kappa_s / 2m, m_rs / T_rs or 0 where T_rs = 0).
+    """
+    k = stats.k
     two_m = float(stats.two_m)
     kappa = [float(v) for v in stats.kappa]
-    return [[kr * ks / two_m for ks in kappa] for kr in kappa]
+    diag, off, row_max = [], [], [(0, 0.0, 0.0)] * k
+    for r, (m_row, kr) in enumerate(zip(stats.m_block, kappa)):
+        for s in range(r, k):
+            t = kr * kappa[s] / two_m
+            cell = (m_row[s], t, m_row[s] / t if t > 0 else 0.0)
+            if s == r:
+                diag.append(cell)
+                continue
+            off.append(cell)
+            if cell[2] > row_max[r][2]:
+                row_max[r] = cell
+            if cell[2] > row_max[s][2]:
+                row_max[s] = cell
+    return diag, off, row_max
 
 
-def _mle_lists(stats: BlockStats) -> tuple[list[list[float]], list[list[float]]]:
-    """Nested lists of T_rs (``_expected``) and m_rs / T_rs (or 0)."""
-    t = _expected(stats)
-    ratio = [[mrs / trs if trs > 0 else 0.0 for mrs, trs in zip(row, t_row)]
-             for row, t_row in zip(stats.m_block, t)]
-    return t, ratio
+def _at(cells, omega):
+    """``_mle_cells``' diagonal and off-diagonal cells at omega's values."""
+    k = len(omega)
+    upper = (row[s] for r, row in enumerate(omega) for s in range(r + 1, k))
+    return ([(m, t, omega[q][q]) for q, (m, t, _) in enumerate(cells[0])],
+            [(m, t, w) for (m, t, _), w in zip(cells[1], upper)])
 
 
-def _loglik(m, t, omega) -> float:
-    """L(Omega) on symmetric nested lists of m_rs, T_rs and finite
-    omega_rs >= 0, read on and above the diagonal.
+def _matrix(diag, off) -> np.ndarray:
+    """The symmetric K x K array of the cells' values."""
+    k, upper = len(diag), iter(off)
+    w = [[x] * k for _, _, x in diag]
+    for r in range(k):
+        for s in range(r + 1, k):
+            w[r][s] = w[s][r] = next(upper)[2]
+    return np.array(w)
+
+
+def _loglik(diag, off) -> float:
+    """L(Omega) on its cells (m_rs, T_rs, omega_rs), omega_rs finite and
+    >= 0: the diagonal ones and those above it.
 
     An off-diagonal term enters the sum twice; it is computed once and
     doubled, which is exact, so the correctly rounded sum is that of the
-    full matrix bit for bit.
+    full matrix bit for bit, in any order of the cells.
     """
     terms = []
-    for r, (m_row, t_row, w_row) in enumerate(zip(m, t, omega)):
-        for s in range(r, len(m_row)):
-            mrs, w = m_row[s], w_row[s]
-            x = 1.0 if s == r else 2.0
+    for x, cells in ((1.0, diag), (2.0, off)):
+        for mrs, trs, w in cells:
             if mrs:
                 if w == 0.0:
                     return -math.inf
                 terms.append(x * (mrs * math.log(w)))
-            terms.append(x * (-t_row[s] * w))
+            terms.append(x * (-trs * w))
     return 0.5 * math.fsum(terms)
 
 
@@ -104,7 +129,7 @@ def log_likelihood(stats: BlockStats, omega) -> float:
     triangle is read), finite and nonnegative.
     """
     w = _as_omega(omega, stats.k)
-    return _loglik(stats.m_block, _expected(stats), w.tolist())
+    return _loglik(*_at(_mle_cells(stats), w.tolist()))
 
 
 def omega_mle(stats: BlockStats) -> np.ndarray:
@@ -113,7 +138,7 @@ def omega_mle(stats: BlockStats) -> np.ndarray:
     Entries whose T_rs vanishes (a block with zero degree sum) are set to 0;
     they carry no likelihood terms.
     """
-    return np.array(_mle_lists(stats)[1])
+    return _matrix(*_mle_cells(stats)[:2])
 
 
 def profile_log_likelihood(stats: BlockStats) -> float:

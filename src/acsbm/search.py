@@ -22,10 +22,12 @@ assortativity constraints by a pair whose two-cell bound
 already takes it below the current value by more than a margin of 1e-9
 times the likelihood's scale, far above the rounding of either side.  Only
 the remaining candidates pay for a constrained solve, so neither filter
-discards an improving constrained move.  All comparisons happen on the
-full-likelihood scale: profile values differ from it by the
-partition-independent constant ``profile_offset``, which makes unconstrained
-candidate scores directly comparable with constrained incumbents.
+discards an improving constrained move.  Screen and strong solve read the
+same closed-form cells (``likelihood._mle_cells``), computed once per
+candidate.  All comparisons happen on the full-likelihood scale: profile
+values differ from it by the partition-independent constant
+``profile_offset``, which makes unconstrained candidate scores directly
+comparable with constrained incumbents.
 
 Modularity objective: a candidate is taken iff it raises Q, decided
 exactly on integers by 2m(d_b - d_a) - k_i(kappa_b - kappa_a + k_i) > 0
@@ -59,10 +61,10 @@ from .core import (BlockStats, Graph, Partition, _check_move,
                    _relocate_stats, block_stats, edges_into_blocks)
 # log_likelihood, omega_mle and is_feasible are unused here; they stay module
 # attributes because the benchmark's tracer patches them.
-from .likelihood import log_likelihood, modularity, omega_mle, \
+from .likelihood import _mle_cells, log_likelihood, modularity, omega_mle, \
     profile_offset  # noqa: F401
 from .solver import AssortativityMode, _mle_gap, _on_null_plateau, \
-    is_feasible, solve_constrained  # noqa: F401
+    _strong_optimum, is_feasible, solve_constrained  # noqa: F401
 
 __all__ = [
     "FitConfig",
@@ -253,6 +255,12 @@ def _random_partition(n: int, k: int, rng: random.Random) -> list[int]:
     return assign
 
 
+def _constrained_value(stats: BlockStats, mode, cells) -> float:
+    """L at the constrained optimum, given the closed form's cells."""
+    return (_strong_optimum(cells)[2] if mode is AssortativityMode.STRONG
+            else solve_constrained(stats, mode).objective)
+
+
 def fit(graph: Graph, cfg: FitConfig) -> FitResult:
     """Run the relocation local search to a local optimum.
 
@@ -289,10 +297,10 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
         h = _xlogx(graph)
         offset = profile_offset(two_m)
         prof = _profile(m, kappa, h)
-        if _mle_gap(stats, mode) is None:
+        if _mle_gap(cells := _mle_cells(stats), mode) is None:
             best = prof + offset
         else:
-            best = solve_constrained(stats, mode).objective
+            best = _constrained_value(stats, mode, cells)
             n_solves += 1
     trace = [best]
     plateau = n_solves > 0 and _on_null_plateau(stats)
@@ -334,14 +342,16 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
                     prof_new = _profile(m, kappa, h)
                     cand = prof_new + offset
                     ok = cand > best
-                gap = _mle_gap(stats, mode) if ok else None
+                gap = None
+                if ok and mode is not AssortativityMode.NONE:
+                    gap = _mle_gap(cells := _mle_cells(stats), mode)
                 if gap is not None and plateau and _on_null_plateau(stats):
                     ok, cand = gain > 0, best  # along the plateau, by Q
                 elif gap is not None and cand - gap \
                         < best - 1e-9 * max(1.0, offset, abs(best)):
                     ok = False  # the constraints cost more than the gain
                 elif gap is not None:
-                    cand = solve_constrained(stats, mode).objective
+                    cand = _constrained_value(stats, mode, cells)
                     solved = True
                     n_solves += 1
                     ok = cand > best

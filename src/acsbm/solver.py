@@ -10,22 +10,23 @@ omega_qq >= lambda, omega_rs <= lambda (r != s) and omega_rs >= 0, or in
 strictly concave in every entry that carries edges and the constraints are
 linear, so the optimum is global.
 
-``solve_constrained`` solves both modes exactly.  Strong mode: for fixed
-lambda every entry has a closed form, and the optimal lambda follows from a
-walk over the sorted entry ratios m_rs / T_rs, between which the profile's
-derivative is A/lambda - B.  Weak mode: the optimum is the isotonic
-regression of the ratios weighted by T, whose level sets a series of minimum
-cuts finds.  Both run on Python lists, with ratios and objective from
-``acsbm.likelihood``'s list kernels; numpy only wraps the returned omega,
-as at a fit's block counts its per-call overhead dominates.
-``_satisfied`` is the one constraint test, on each row's diagonal entry and
-largest other entry: ``is_feasible`` applies it to a given omega and
-``solve_constrained`` to the closed form.  The search screens each
-candidate's closed form with ``_mle_gap``, which applies it to the
-closed-form ratios and, when it fails, bounds from below how much
-likelihood the constraints cost, by the exact optimum of the two-cell
-problem of one violated pair.  ``lambda_profile_oracle`` solves
-strong mode by golden-section search over the threshold, to cross-check it.
+``solve_constrained`` solves both modes exactly.  Strong mode
+(``_strong_optimum``): for fixed lambda every entry has a closed form, and
+the optimal lambda follows from a walk over the sorted entry ratios
+m_rs / T_rs, between which the profile's derivative is A/lambda - B.  Weak
+mode: the optimum is the isotonic regression of the ratios weighted by T,
+whose level sets a series of minimum cuts finds.  Both run on the closed
+form's upper-triangle cells (m, T, ratio) of ``likelihood._mle_cells`` and
+score with ``likelihood._loglik``; numpy only wraps the returned omega.
+``_satisfied`` is the one constraint test, on each row's diagonal entry
+and largest other entry: ``is_feasible`` applies it to a given omega and
+``_mle_gap`` to the cells.  ``_mle_gap`` screens each improving candidate
+of the search and, when the test fails, bounds from below what the
+constraints cost, by the exact optimum of the two-cell problem of one
+violated pair; a strong candidate it does not rule out takes its value
+from ``_strong_optimum`` on the same cells, with no omega built.
+``lambda_profile_oracle`` solves strong mode by golden-section search over
+the threshold, to cross-check it.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from enum import Enum
 import numpy as np
 
 from .core import BlockStats
-from .likelihood import (_as_omega, _loglik, _mle_lists, log_likelihood,
-                         omega_mle)
+from .likelihood import (_as_omega, _at, _loglik, _matrix, _mle_cells,
+                         log_likelihood, omega_mle)
 
 __all__ = [
     "AssortativityMode",
@@ -119,9 +120,10 @@ def _pair_gap(qq, rs) -> float:
     return 0.5 * qq[1] * _phi(qq[2], lam) + rs[1] * _phi(rs[2], lam)
 
 
-def _mle_gap(stats: BlockStats, mode: AssortativityMode) -> float | None:
-    """None iff ``is_feasible(omega_mle(stats), mode, 0.0)``; otherwise a
-    lower bound on L(omega_mle) - L(Omega*), Omega* the constrained optimum.
+def _mle_gap(cells, mode: AssortativityMode) -> float | None:
+    """None iff ``is_feasible(omega_mle(stats), mode, 0.0)``, given the
+    closed form's ``_mle_cells(stats)``; otherwise a lower bound on
+    L(omega_mle) - L(Omega*), Omega* the constrained optimum.
 
     Keeping a single constraint omega_qq >= omega_rs that the closed form
     violates, and dropping the others, leaves a two-cell problem whose
@@ -130,41 +132,18 @@ def _mle_gap(stats: BlockStats, mode: AssortativityMode) -> float | None:
     off-diagonal one (bound 0 if those two are in order: the violation is
     then a zero-degree block's diagonal, which is free).  Weak mode takes
     the largest bound over violated rows, each diagonal against its row's
-    largest entry.
-
-    The search calls this for every improving candidate, so it computes
-    the ratios of ``_mle_lists`` with the same float expressions but in one
-    pass over the upper triangle, keeping each row's largest off-diagonal
-    cell: composed from ``_mle_lists`` and ``_row_ends`` it took about
-    twice as long per call, which made strong fits on the n = 100 desk
-    fixtures about 1.25x slower.  The constraint test itself is
-    ``_satisfied``, as for ``is_feasible``.
+    largest entry.  The constraint test itself is ``_satisfied``, as for
+    ``is_feasible``, on the cells' row ends.
     """
-    k = stats.k
-    if mode is AssortativityMode.NONE or k <= 1:
+    diag, _, row_max = cells
+    if mode is AssortativityMode.NONE or len(diag) <= 1:
         return None
-    two_m = float(stats.two_m)
-    kappa = [float(v) for v in stats.kappa]
-    diag, ends = [], ([], [0.0] * k)  # cells as (m, T, ratio); their ratios
-    row_max = [(0, 0.0, 0.0)] * k  # the largest off-diagonal cell of each row
-    dr, off = ends
-    for r, (m_row, kr) in enumerate(zip(stats.m_block, kappa)):
-        t = kr * kr / two_m
-        x = m_row[r] / t if t > 0 else 0.0
-        diag.append((m_row[r], t, x))
-        dr.append(x)
-        for s in range(r + 1, k):
-            t = kr * kappa[s] / two_m
-            x = m_row[s] / t if t > 0 else 0.0
-            if x > off[r]:
-                off[r], row_max[r] = x, (m_row[s], t, x)
-            if x > off[s]:
-                off[s], row_max[s] = x, (m_row[s], t, x)
+    ends = [d[2] for d in diag], [top[2] for top in row_max]
     if _satisfied(*ends, mode):
         return None
     if mode is AssortativityMode.STRONG:
         top = max(row_max, key=lambda cell: cell[2])
-        low = min((d for d, kq in zip(diag, kappa) if kq), key=lambda d: d[2])
+        low = min((d for d in diag if d[1]), key=lambda d: d[2])
         return _pair_gap(low, top) if low[2] < top[2] else 0.0
     return max(_pair_gap(d, top) for d, top, ok
                in zip(diag, row_max, _assortative_rows(*ends, 0.0)) if not ok)
@@ -176,12 +155,12 @@ def solve_constrained(stats: BlockStats, mode: AssortativityMode) -> OmegaSoluti
     mode NONE returns the closed-form maximizer directly.  When the
     closed-form maximizer already satisfies the constraints, it is returned
     with no iterations and, in strong mode, a valid threshold.  Otherwise
-    strong mode is solved exactly by a walk over the sorted entry ratios,
-    and weak mode exactly as an isotonic regression split by minimum cuts,
-    which leaves the entries of blocks with zero degree sum at 0.  The lists
-    of T and of the ratios are built once per call; every branch runs on
-    them and scores its omega with ``likelihood._loglik``, and numpy only
-    wraps the returned omega.
+    strong mode is solved exactly by ``_strong_optimum``'s walk over the
+    sorted entry ratios, and weak mode exactly as an isotonic regression
+    split by minimum cuts, which leaves the entries of blocks with zero
+    degree sum at 0.  Every branch runs on the closed form's
+    ``_mle_cells``, computed once per call, and scores its omega with
+    ``likelihood._loglik``; numpy only wraps the returned omega.
 
     Raises
     ------
@@ -192,25 +171,30 @@ def solve_constrained(stats: BlockStats, mode: AssortativityMode) -> OmegaSoluti
     if stats.two_m <= 0 or all(v == 0 for row in stats.m_block for v in row):
         raise ValueError("all block edge counts are zero")
 
-    t, ratio = _mle_lists(stats)
+    cells = _mle_cells(stats)
     if mode is AssortativityMode.STRONG and stats.k > 1:
-        return _solve_strong_exact(stats, t, ratio)
-    if (mode is AssortativityMode.WEAK and stats.k > 1
-            and not _satisfied(*_row_ends(ratio), mode)):
-        return _solve_weak_exact(stats, t)
+        lam, crossed, objective, at = _strong_optimum(cells)
+        return OmegaSolution(omega=_matrix(*at), lam=lam, objective=objective,
+                             iterations=crossed)
+    if mode is AssortativityMode.WEAK and _mle_gap(cells, mode) is not None:
+        return _solve_weak_exact(stats, cells)
     # mode NONE, a single block, or a weakly assortative closed form
-    lam = ratio[0][0] if mode is AssortativityMode.STRONG else 0.0
-    return OmegaSolution(omega=np.array(ratio), lam=lam,
-                         objective=_loglik(stats.m_block, t, ratio), iterations=0)
+    diag, off, _ = cells
+    lam = diag[0][2] if mode is AssortativityMode.STRONG else 0.0
+    return OmegaSolution(omega=_matrix(diag, off), lam=lam,
+                         objective=_loglik(diag, off), iterations=0)
 
 
-def _solve_strong_exact(stats: BlockStats, t, ratio) -> OmegaSolution:
+def _strong_optimum(cells):
+    """Strong mode's optimum from the closed form's ``_mle_cells`` (K >= 2):
+    lam, the number of entry ratios the walk crossed, L, and the diagonal
+    and off-diagonal cells at the optimum."""
     # For fixed lam, omega_qq = max(ratio_qq, lam), omega_rs = min(ratio_rs,
     # lam).  A block with zero degree sum carries no likelihood terms, so its
     # diagonal is free: the closed-form test leaves it out; it rides at lam.
-    k, kappa, m = stats.k, stats.kappa, stats.m_block
-    dmin = min(ratio[q][q] for q in range(k) if kappa[q])
-    omax = max(x for r, row in enumerate(ratio) for s, x in enumerate(row) if r != s)
+    diag, off, _ = cells
+    dmin = min(x for _, t, x in diag if t)
+    omax = max(x for _, _, x in off)
     crossed = 0
     if dmin >= omax:
         lam = 0.5 * (dmin + omax)
@@ -223,17 +207,13 @@ def _solve_strong_exact(stats: BlockStats, t, ratio) -> OmegaSolution:
         # right end has g' <= 0.  Infeasibility among blocks with degree
         # keeps some entry clamped: B > 0.
         a = b = 0.0
-        events = []  # (ratio, change of A, change of B) once lam passes ratio
-        for r, row in enumerate(m):
-            for s, trs in enumerate(t[r][r:], r):
-                if trs == 0:
-                    continue
-                if r == s:
-                    events.append((ratio[r][r], 0.5 * row[r], 0.5 * trs))
-                elif row[s] > 0:
-                    a += row[s]
-                    b += trs
-                    events.append((ratio[r][s], -row[s], -trs))
+        # (ratio, change of A, change of B) once lam passes ratio
+        events = [(x, 0.5 * m, 0.5 * t) for m, t, x in diag if t]
+        for m, t, x in off:
+            if m > 0:
+                a += m
+                b += t
+                events.append((x, -m, -t))
         events.sort()
         for rho, da, db in events:
             if a <= b * rho:
@@ -242,12 +222,9 @@ def _solve_strong_exact(stats: BlockStats, t, ratio) -> OmegaSolution:
             b += db
             crossed += 1
         lam = a / b
-
-    omega = [[min(x, lam) for x in row] for row in ratio]
-    for r in range(k):
-        omega[r][r] = max(ratio[r][r], lam)
-    return OmegaSolution(omega=np.array(omega), lam=lam,
-                         objective=_loglik(m, t, omega), iterations=crossed)
+    at = ([(m, t, max(x, lam)) for m, t, x in diag],
+          [(m, t, min(x, lam)) for m, t, x in off])
+    return lam, crossed, _loglik(*at), at
 
 
 def _max_closure(gains, above) -> list[int]:
@@ -282,7 +259,7 @@ def _max_closure(gains, above) -> list[int]:
             cap[v][u] += push
 
 
-def _solve_weak_exact(stats: BlockStats, t) -> OmegaSolution:
+def _solve_weak_exact(stats: BlockStats, mle) -> OmegaSolution:
     # The weak optimum is the isotonic regression of the ratios m/T weighted
     # by T under omega_rs <= omega_rr, omega_ss (Robertson, Wright & Dykstra
     # 1988, sec. 1.5).  A part's cells above its pooled level c are its
@@ -319,7 +296,7 @@ def _solve_weak_exact(stats: BlockStats, t) -> OmegaSolution:
             r, s = cells[i]
             omega[r][s] = omega[s][r] = c
     return OmegaSolution(omega=np.array(omega), lam=0.0,
-                         objective=_loglik(stats.m_block, t, omega), iterations=splits)
+                         objective=_loglik(*_at(mle, omega)), iterations=splits)
 
 
 def _on_null_plateau(stats: BlockStats) -> bool:

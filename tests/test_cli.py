@@ -51,6 +51,8 @@ class TestGenerate:
          "--offdiag-range", "0,0"],
         ["generate-sbm", "--n", "10", "--k", "1", "--diag-range", "0,0"],
         ["generate-sbm", "--n", "1", "--k", "1"],
+        ["generate-sbm", "--n", "2", "--k", "2", "--diag-range", "0,0",
+         "--offdiag-range", "0,0.5"],
     ])
     def test_degenerate_spec_fails_cleanly(self, tmp_path, capsys, argv):
         rc = main(argv + ["--out", str(tmp_path / "x")])

@@ -20,6 +20,7 @@ from acsbm import (AssortativityMode, EmptyBlockMoveError, FitConfig,
                    is_feasible, load_edge_list, log_likelihood, modularity,
                    multi_start, nmi, profile_log_likelihood, profile_offset,
                    search, solve_constrained)
+from acsbm.likelihood import _mle_cells
 from acsbm.solver import _mle_gap, _on_null_plateau
 from helpers import legal_moves, random_graph, random_partition
 
@@ -152,7 +153,7 @@ class TestFit:
         g = Graph(7, [(i, 3 + j, 1) for i in range(3) for j in range(4)])
         for bits in range(1, 2**7 - 1):
             st = block_stats(g, Partition(2, [bits >> i & 1 for i in range(7)]))
-            assert _on_null_plateau(st) and _mle_gap(st, mode) is not None
+            assert _on_null_plateau(st) and _mle_gap(_mle_cells(st), mode) is not None
         for seed in range(10):
             r = fit(g, FitConfig(k=2, mode=mode, seed=seed))
             assert r.constrained_solves == 1, seed
@@ -370,8 +371,8 @@ class TestSolveScreen:
         runs = [(g, c) for g, k in graphs for c in cfgs if c.k == k]
         screened = [fit(g, c) for g, c in runs]
         bound = search._mle_gap
-        monkeypatch.setattr(search, "_mle_gap", lambda stats, mode: (
-            None if bound(stats, mode) is None else 0.0))
+        monkeypatch.setattr(search, "_mle_gap", lambda cells, mode: (
+            None if bound(cells, mode) is None else 0.0))
         skipped = 0
         for (g, c), r in zip(runs, screened):
             ref = fit(g, c)

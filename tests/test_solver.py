@@ -8,6 +8,7 @@ import pytest
 from acsbm import (AssortativityMode, BlockStats, OmegaSolution, Partition,
                    block_stats, is_feasible, lambda_profile_oracle,
                    log_likelihood, omega_mle, solve_constrained)
+from acsbm.likelihood import _mle_cells
 from acsbm.solver import _mle_gap, _on_null_plateau
 from helpers import (numpy_log_likelihood, numpy_m_t, random_block_stats,
                      threshold_profile)
@@ -79,6 +80,53 @@ def binding_random_stats(count: int = 200, mode=AssortativityMode.STRONG,
     return out
 
 
+def large_k_cases(rng: random.Random, count: int = 12) -> list[BlockStats]:
+    """Random stats at K = 12 and 16, each also with a zero-degree block and
+    with a tie, all with several rows whose diagonal ratio is below another
+    entry of the row."""
+    cases = []
+    for _ in range(count):
+        st = random_block_stats(rng, rng.choice([12, 16]),
+                                hi=rng.choice([20, 500, 5000]))
+        cases += [st, with_zero_degree_block(st),
+                  with_tie(st, 2 * rng.randint(1, 50))]
+    for st in cases:
+        w = omega_mle(st)
+        assert sum(w[q, q] < np.delete(w[q], q).max()
+                   for q in range(st.k)) >= 2
+    return cases
+
+
+class TestMleCells:
+    def test_cells_are_the_closed_form(self):
+        # the one pass against numpy's m / T and omega_mle, bit for bit, at
+        # K = 1..16, zero-degree blocks and ties included
+        rng = random.Random(73)
+        for k in range(1, 17):
+            for _ in range(8):
+                st = random_block_stats(rng, k, hi=rng.choice([20, 500, 5000]))
+                cases = [st, with_zero_degree_block(st)]
+                if k >= 2:
+                    cases.append(with_tie(st, 2 * rng.randint(1, 10)))
+                for case in cases:
+                    diag, off, row_max = _mle_cells(case)
+                    m, t = numpy_m_t(case)
+                    ratio = np.divide(m, t, out=np.zeros_like(t), where=t > 0)
+                    w = omega_mle(case)
+                    assert w.tobytes() == ratio.tobytes()
+                    upper = np.triu_indices(case.k, 1)
+                    for cells, at in ((diag, np.diag_indices(case.k)),
+                                      (off, upper)):
+                        assert [c[0] for c in cells] == m[at].tolist()
+                        assert np.array([c[1] for c in cells]).tobytes() \
+                            == t[at].tobytes()
+                        assert np.array([c[2] for c in cells]).tobytes() \
+                            == w[at].tobytes()
+                    for q, top in enumerate(row_max):
+                        assert top[2] == np.delete(w[q], q).max(initial=0.0)
+                        assert top in off or top == (0, 0.0, 0.0)
+
+
 class TestIsFeasible:
     def test_diagonal_matrix_is_strong(self):
         assert is_feasible([[2.0, 0.0], [0.0, 2.0]], AssortativityMode.STRONG)
@@ -137,34 +185,39 @@ class TestIsFeasible:
                 assert omega_mle(tie)[0, 0] == omega_mle(tie)[0, 1]
                 cases.append(tie)
         cases += ZERO_DEGREE_STATS + [BINDING_STATS]
+        cases += large_k_cases(random.Random(79))
         outcomes = set()
         for st in cases:
             w = omega_mle(st)
             for mode in (AssortativityMode.STRONG, AssortativityMode.WEAK):
                 expected = is_feasible(w, mode, 0.0)
-                assert (_mle_gap(st, mode) is None) is expected, (st, mode)
+                assert (_mle_gap(_mle_cells(st), mode) is None) is expected, (st, mode)
                 outcomes.add((mode, expected))
         assert len(outcomes) == 4
 
     def test_gap_bounds_the_cost_of_the_constraints(self):
         # _mle_gap never exceeds what the exact solve loses against the
-        # closed form, on large counts, zero-degree blocks and ties too
+        # closed form, on large counts, zero-degree blocks and ties too, and
+        # at K = 12 and 16
         rng = random.Random(71)
-        binding = 0
+        cases = []
         for _ in range(400):
             st = random_block_stats(rng, rng.randint(2, 8),
                                     hi=rng.choice([20, 500, 5000]))
-            for case in (st, with_zero_degree_block(st),
-                         with_tie(st, 2 * rng.randint(1, 50))):
-                top = log_likelihood(case, omega_mle(case))
-                for mode in (AssortativityMode.STRONG, AssortativityMode.WEAK):
-                    gap = _mle_gap(case, mode)
-                    if gap is None:
-                        continue
-                    binding += 1
-                    cost = top - solve_constrained(case, mode).objective
-                    assert 0.0 <= gap <= cost + 1e-12 * max(1.0, abs(top)), \
-                        (case, mode, gap, cost)
+            cases += [st, with_zero_degree_block(st),
+                      with_tie(st, 2 * rng.randint(1, 50))]
+        cases += large_k_cases(random.Random(83))
+        binding = 0
+        for case in cases:
+            top = log_likelihood(case, omega_mle(case))
+            for mode in (AssortativityMode.STRONG, AssortativityMode.WEAK):
+                gap = _mle_gap(_mle_cells(case), mode)
+                if gap is None:
+                    continue
+                binding += 1
+                cost = top - solve_constrained(case, mode).objective
+                assert 0.0 <= gap <= cost + 1e-12 * max(1.0, abs(top)), \
+                    (case, mode, gap, cost)
         assert binding > 1000
 
     def test_gap_is_exact_for_one_violated_pair(self):
@@ -174,7 +227,7 @@ class TestIsFeasible:
         top = log_likelihood(st, omega_mle(st))
         for mode in (AssortativityMode.STRONG, AssortativityMode.WEAK):
             cost = top - solve_constrained(st, mode).objective
-            assert _mle_gap(st, mode) == pytest.approx(cost, rel=1e-12)
+            assert _mle_gap(_mle_cells(st), mode) == pytest.approx(cost, rel=1e-12)
 
 
 class TestOracle:
