@@ -22,9 +22,9 @@ assortativity constraints by a pair whose two-cell bound
 already takes it below the current value by more than a margin of 1e-9
 times the likelihood's scale, far above the rounding of either side.  Only
 the remaining candidates pay for a constrained solve, so neither filter
-discards an improving constrained move.  Screen and strong solve read the
-same closed-form cells (``likelihood._mle_cells``), computed once per
-candidate.  All comparisons happen on the full-likelihood scale: profile
+discards an improving constrained move.  Screen and solve (``_OPTIMA``)
+read the same closed-form cells (``likelihood._mle_cells``), computed once
+per candidate.  All comparisons happen on the full-likelihood scale: profile
 values differ from it by the partition-independent constant
 ``profile_offset``, which makes unconstrained candidate scores directly
 comparable with constrained incumbents.
@@ -34,7 +34,7 @@ exactly on integers by 2m(d_b - d_a) - k_i(kappa_b - kappa_a + k_i) > 0
 (the change of Q times (2m)^2 / 2).
 
 The sweep keeps only objective values: the returned Omega and lambda are
-one ``solve_constrained`` of the final partition.
+one ``solve_constrained`` of the final partition, the fit's only one.
 
 Many disassortative partitions have the null constrained optimum Omega = 1,
 likelihood -m (``solver._on_null_plateau``).  While on that plateau, the
@@ -63,8 +63,8 @@ from .core import (BlockStats, Graph, Partition, _check_move,
 # attributes because the benchmark's tracer patches them.
 from .likelihood import _mle_cells, log_likelihood, modularity, omega_mle, \
     profile_offset  # noqa: F401
-from .solver import AssortativityMode, _mle_gap, _on_null_plateau, \
-    _strong_optimum, is_feasible, solve_constrained  # noqa: F401
+from .solver import _OPTIMA, AssortativityMode, _mle_gap, _on_null_plateau, \
+    is_feasible, solve_constrained  # noqa: F401
 
 __all__ = [
     "FitConfig",
@@ -255,12 +255,6 @@ def _random_partition(n: int, k: int, rng: random.Random) -> list[int]:
     return assign
 
 
-def _constrained_value(stats: BlockStats, mode, cells) -> float:
-    """L at the constrained optimum, given the closed form's cells."""
-    return (_strong_optimum(cells)[2] if mode is AssortativityMode.STRONG
-            else solve_constrained(stats, mode).objective)
-
-
 def fit(graph: Graph, cfg: FitConfig) -> FitResult:
     """Run the relocation local search to a local optimum.
 
@@ -300,7 +294,7 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
         if _mle_gap(cells := _mle_cells(stats), mode) is None:
             best = prof + offset
         else:
-            best = _constrained_value(stats, mode, cells)
+            best = _OPTIMA[mode](stats, cells)[2]
             n_solves += 1
     trace = [best]
     plateau = n_solves > 0 and _on_null_plateau(stats)
@@ -351,7 +345,7 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
                         < best - 1e-9 * max(1.0, offset, abs(best)):
                     ok = False  # the constraints cost more than the gain
                 elif gap is not None:
-                    cand = _constrained_value(stats, mode, cells)
+                    cand = _OPTIMA[mode](stats, cells)[2]
                     solved = True
                     n_solves += 1
                     ok = cand > best
@@ -434,26 +428,27 @@ def _executor(workers: int) -> ProcessPoolExecutor:
 def multi_start(graph: Graph, cfg: FitConfig, runs: int,
                 workers: int = 1) -> list[FitResult]:
     """Independent fits with seeds cfg.seed .. cfg.seed + runs - 1, on
-    ``workers`` processes (1: sequentially, in this process).
+    min(workers, runs) processes (1: sequentially, in this process).
 
     Results are sorted by the run objective (descending), ties broken by
     seed, so the ordering is deterministic regardless of worker scheduling.
 
-    With workers >= 2 the fits run on one process pool per process, created
-    on first use and reused by every later call with the same worker count
-    (a call with another count replaces it).  Idle workers live until the
-    interpreter exits.  They are forked when the pool starts, so they see
-    this module's state as it was then.  A pool whose worker died raises
-    ``BrokenProcessPool`` once and is replaced on the next call.  Being one
-    per process, the pool is not meant for calls from several threads at
-    once.
+    With two or more processes the fits run on one process pool per
+    process, created on first use and reused by every later call with the
+    same process count (a call with another count replaces it).  The pool
+    forks all its workers when it starts, hence no more than runs.  They
+    live until the interpreter exits and see this module's state as it was
+    then.  A pool whose worker died raises ``BrokenProcessPool`` once and
+    is replaced on the next call.  Being one per process, the pool is not
+    meant for calls from several threads at once.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    workers = min(workers, runs)
     cfgs = [replace(cfg, seed=cfg.seed + r) for r in range(runs)]
-    if workers == 1 or runs == 1:
+    if workers == 1:
         results = [fit(graph, c) for c in cfgs]
     else:
         pool = _executor(workers)

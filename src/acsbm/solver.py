@@ -10,21 +10,24 @@ omega_qq >= lambda, omega_rs <= lambda (r != s) and omega_rs >= 0, or in
 strictly concave in every entry that carries edges and the constraints are
 linear, so the optimum is global.
 
-``solve_constrained`` solves both modes exactly.  Strong mode
+Both modes are solved exactly, each by a function of the closed form's
+upper-triangle cells (m, T, ratio) of ``likelihood._mle_cells`` that
+returns lambda, its iterations, L (``likelihood._loglik``) and the cells at
+the optimum; ``_OPTIMA`` keys them by mode.  Strong mode
 (``_strong_optimum``): for fixed lambda every entry has a closed form, and
 the optimal lambda follows from a walk over the sorted entry ratios
 m_rs / T_rs, between which the profile's derivative is A/lambda - B.  Weak
-mode: the optimum is the isotonic regression of the ratios weighted by T,
-whose level sets a series of minimum cuts finds.  Both run on the closed
-form's upper-triangle cells (m, T, ratio) of ``likelihood._mle_cells`` and
-score with ``likelihood._loglik``; numpy only wraps the returned omega.
+mode (``_weak_optimum``): the optimum is the isotonic regression of the
+ratios weighted by T, whose level sets a series of minimum cuts finds.
+``solve_constrained`` wraps those cells, or the closed form's, in an
+``OmegaSolution``: the search calls it once per fit, for the final omega.
 ``_satisfied`` is the one constraint test, on each row's diagonal entry
 and largest other entry: ``is_feasible`` applies it to a given omega and
 ``_mle_gap`` to the cells.  ``_mle_gap`` screens each improving candidate
 of the search and, when the test fails, bounds from below what the
 constraints cost, by the exact optimum of the two-cell problem of one
-violated pair; a strong candidate it does not rule out takes its value
-from ``_strong_optimum`` on the same cells, with no omega built.
+violated pair; a candidate it does not rule out takes its value from
+``_OPTIMA`` on the same cells, with no omega built.
 ``lambda_profile_oracle`` solves strong mode by golden-section search over
 the threshold, to cross-check it.
 """
@@ -152,15 +155,12 @@ def _mle_gap(cells, mode: AssortativityMode) -> float | None:
 def solve_constrained(stats: BlockStats, mode: AssortativityMode) -> OmegaSolution:
     """Maximize the fixed-partition objective under ``mode``'s constraints.
 
-    mode NONE returns the closed-form maximizer directly.  When the
-    closed-form maximizer already satisfies the constraints, it is returned
-    with no iterations and, in strong mode, a valid threshold.  Otherwise
-    strong mode is solved exactly by ``_strong_optimum``'s walk over the
-    sorted entry ratios, and weak mode exactly as an isotonic regression
-    split by minimum cuts, which leaves the entries of blocks with zero
-    degree sum at 0.  Every branch runs on the closed form's
-    ``_mle_cells``, computed once per call, and scores its omega with
-    ``likelihood._loglik``; numpy only wraps the returned omega.
+    Strong mode, and weak mode when the closed-form maximizer violates its
+    constraints, take the mode's exact optimum from ``_OPTIMA``; mode NONE
+    and a weakly feasible closed form take the closed form itself, with no
+    iterations and lam 0.  Both run on the closed form's ``_mle_cells``,
+    computed once per call; numpy only wraps the returned omega.  A block
+    with zero degree sum has a diagonal of 0, or lam in strong mode.
 
     Raises
     ------
@@ -172,29 +172,25 @@ def solve_constrained(stats: BlockStats, mode: AssortativityMode) -> OmegaSoluti
         raise ValueError("all block edge counts are zero")
 
     cells = _mle_cells(stats)
-    if mode is AssortativityMode.STRONG and stats.k > 1:
-        lam, crossed, objective, at = _strong_optimum(cells)
-        return OmegaSolution(omega=_matrix(*at), lam=lam, objective=objective,
-                             iterations=crossed)
-    if mode is AssortativityMode.WEAK and _mle_gap(cells, mode) is not None:
-        return _solve_weak_exact(stats, cells)
-    # mode NONE, a single block, or a weakly assortative closed form
-    diag, off, _ = cells
-    lam = diag[0][2] if mode is AssortativityMode.STRONG else 0.0
-    return OmegaSolution(omega=_matrix(diag, off), lam=lam,
-                         objective=_loglik(diag, off), iterations=0)
+    if mode is AssortativityMode.STRONG or _mle_gap(cells, mode) is not None:
+        lam, iterations, objective, at = _OPTIMA[mode](stats, cells)
+    else:
+        lam, iterations, objective, at = 0.0, 0, _loglik(*cells[:2]), cells[:2]
+    return OmegaSolution(omega=_matrix(*at), lam=lam, objective=objective,
+                         iterations=iterations)
 
 
-def _strong_optimum(cells):
-    """Strong mode's optimum from the closed form's ``_mle_cells`` (K >= 2):
-    lam, the number of entry ratios the walk crossed, L, and the diagonal
-    and off-diagonal cells at the optimum."""
+def _strong_optimum(stats: BlockStats, cells):
+    """Strong mode's optimum from the closed form's ``_mle_cells``: lam, the
+    number of entry ratios the walk crossed, L, and the diagonal and
+    off-diagonal cells at the optimum.  A single block has lam = its
+    diagonal ratio."""
     # For fixed lam, omega_qq = max(ratio_qq, lam), omega_rs = min(ratio_rs,
     # lam).  A block with zero degree sum carries no likelihood terms, so its
     # diagonal is free: the closed-form test leaves it out; it rides at lam.
     diag, off, _ = cells
     dmin = min(x for _, t, x in diag if t)
-    omax = max(x for _, _, x in off)
+    omax = max((x for _, _, x in off), default=dmin)
     crossed = 0
     if dmin >= omax:
         lam = 0.5 * (dmin + omax)
@@ -259,7 +255,9 @@ def _max_closure(gains, above) -> list[int]:
             cap[v][u] += push
 
 
-def _solve_weak_exact(stats: BlockStats, mle) -> OmegaSolution:
+def _weak_optimum(stats: BlockStats, mle):
+    """Weak mode's optimum, as ``_strong_optimum``'s with lam = 0 and the
+    level-set splits as iterations."""
     # The weak optimum is the isotonic regression of the ratios m/T weighted
     # by T under omega_rs <= omega_rr, omega_ss (Robertson, Wright & Dykstra
     # 1988, sec. 1.5).  A part's cells above its pooled level c are its
@@ -295,8 +293,12 @@ def _solve_weak_exact(stats: BlockStats, mle) -> OmegaSolution:
         for i in part:
             r, s = cells[i]
             omega[r][s] = omega[s][r] = c
-    return OmegaSolution(omega=np.array(omega), lam=0.0,
-                         objective=_loglik(*_at(mle, omega)), iterations=splits)
+    at = _at(mle, omega)
+    return 0.0, splits, _loglik(*at), at
+
+
+_OPTIMA = {AssortativityMode.STRONG: _strong_optimum,
+           AssortativityMode.WEAK: _weak_optimum}
 
 
 def _on_null_plateau(stats: BlockStats) -> bool:
@@ -305,12 +307,12 @@ def _on_null_plateau(stats: BlockStats) -> bool:
     <= off-diagonal ratios, in strong and in weak mode alike.
 
     Weak mode: all cells pool at exactly 1, so Omega = 1 is optimal iff no
-    upper set of cells gains at 1 (see ``_solve_weak_exact``).  Given the test, the best
-    one on diagonals S takes every off-diagonal inside S, and its gain
-    2m M_S - kappa_S^2 (M_S the edge ends inside S) is minus the off-diagonal
-    gains 2m m_rs - kappa_r kappa_s between S and the rest, as each row of
-    gains sums to 0: <= 0.  Conversely a weak optimum Omega = 1 is strongly
-    feasible, hence the strong optimum too.
+    upper set of cells gains at 1 (see ``_weak_optimum``).  Given the test,
+    the best one on diagonals S takes every off-diagonal inside S, and its
+    gain 2m M_S - kappa_S^2 (M_S the edge ends inside S) is minus the
+    off-diagonal gains 2m m_rs - kappa_r kappa_s between S and the rest, as
+    each row of gains sums to 0: <= 0.  Conversely a weak optimum Omega = 1
+    is strongly feasible, hence the strong optimum too.
     """
     m, kappa, two_m, k = stats.m_block, stats.kappa, stats.two_m, stats.k
     return all(m[r][r] * two_m <= kappa[r] ** 2 for r in range(k)) and all(

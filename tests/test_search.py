@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from acsbm import (AssortativityMode, EmptyBlockMoveError, FitConfig,
-                   FitResult, Graph, Partition, PpmSpec, block_stats,
+                   FitResult, Graph, Partition, PpmSpec, SbmSpec, block_stats,
                    delta_relocation, edges_into_blocks, fit, generate_ppm,
-                   is_feasible, load_edge_list, log_likelihood, modularity,
-                   multi_start, nmi, profile_log_likelihood, profile_offset,
-                   search, solve_constrained)
+                   generate_sbm, is_feasible, load_edge_list, log_likelihood,
+                   modularity, multi_start, nmi, profile_log_likelihood,
+                   profile_offset, search, solve_constrained)
 from acsbm.likelihood import _mle_cells
 from acsbm.solver import _mle_gap, _on_null_plateau
 from helpers import legal_moves, random_graph, random_partition
@@ -386,6 +386,25 @@ class TestSolveScreen:
                    for (g, c), r in zip(runs, screened) if c.k == 2)
 
 
+def test_a_fit_calls_solve_constrained_once(monkeypatch):
+    # candidates of both modes take their values from the exact optima on
+    # the screen's cells; only the final partition goes through
+    # solve_constrained
+    calls = []
+    solve = search.solve_constrained
+    monkeypatch.setattr(search, "solve_constrained", lambda stats, mode: (
+        calls.append(mode), solve(stats, mode))[1])
+    sbm = generate_sbm(SbmSpec(n=100, k=4, seed=2000))[0]
+    karate = load_edge_list(DATA / "karate.edges")
+    for g, k in ((sbm, 4), (karate, 3)):
+        for mode in (AssortativityMode.STRONG, AssortativityMode.WEAK):
+            for seed in (0, 1):
+                calls.clear()
+                r = fit(g, FitConfig(k=k, mode=mode, seed=seed))
+                assert r.constrained_solves > 0, (k, mode, seed)
+                assert calls == [mode], (k, mode, seed)
+
+
 # SHA-256 of the fits below, without the two counters, as produced before
 # a fit's omega and lambda came from one solve of its final partition: a
 # change that must keep every fit bit for bit compares against it.  The
@@ -571,6 +590,14 @@ class TestProcessPool:
         assert _as_dicts(multi_start(g, cfg, runs=6, workers=2)) == \
             _as_dicts(multi_start(g, cfg, runs=6, workers=1))
         assert search._pool[1] is not executor
+
+    def test_no_more_workers_than_runs(self, fresh_pool):
+        # the pool forks all its workers at the first submit
+        g = random_graph(random.Random(108), 20, p=0.3)
+        cfg = FitConfig(k=3, mode=AssortativityMode.WEAK, seed=4)
+        par = multi_start(g, cfg, runs=2, workers=3)
+        assert search._pool[0] == 2
+        assert _as_dicts(par) == _as_dicts(multi_start(g, cfg, runs=2))
 
 
 def test_no_worker_outlives_the_interpreter():
