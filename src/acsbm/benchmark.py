@@ -24,7 +24,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
-from .core import Graph, load_edge_list
+from .core import Graph, _json, _write_text, load_edge_list
 from .generators import PpmSpec, SbmSpec, generate_ppm, generate_sbm
 from .metrics import assortativity_level, count_assortative_communities, nmi
 from .search import (OBJECTIVE_LIKELIHOOD, OBJECTIVE_MODULARITY, FitConfig,
@@ -100,8 +100,6 @@ class ExperimentPlan:
     diag_range: tuple[float, float] = (0.45, 0.55)
     offdiag_range: tuple[float, float] = (0.0, 0.4)
     quantile: float = 0.10
-    graph_path: str | None = None
-    index_base: int = 0
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -143,10 +141,7 @@ class ExperimentPlan:
         return cls(**data)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["diag_range"] = list(self.diag_range)
-        d["offdiag_range"] = list(self.offdiag_range)
-        return d
+        return asdict(self)
 
 
 def _fit_models(plan: ExperimentPlan, graph: Graph,
@@ -223,22 +218,20 @@ def run_sbm_ensemble(plan: ExperimentPlan, out_dir=None) -> list[dict]:
                         "assortative_count"], {"sbm_summary.csv": table})
 
 
-def run_real(plan: ExperimentPlan, graph_path=None, k: int | None = None,
+def run_real(plan: ExperimentPlan, graph_path, k: int | None = None,
              out_dir=None) -> dict:
-    """Multi-start every model on a real edge list and report the best fits.
+    """Multi-start every model on the edge list at ``graph_path`` (0-based
+    ids) and report the best fits.
 
     The report carries, per model, the winning run's block parameters with
     their diagonal minimum / off-diagonal maximum, the achieved
     assortativity level, and the block sizes.  No ground truth exists, so
     no per-run records (``runs.jsonl``) are written.
     """
-    path = plan.graph_path if graph_path is None else graph_path
-    if path is None:
-        raise ValueError("real-network experiment needs a graph path")
     k = plan.k if k is None else k
-    graph = load_edge_list(path, index_base=plan.index_base)
+    graph = load_edge_list(graph_path)
 
-    report: dict = {"graph": str(path), "n": graph.n,
+    report: dict = {"graph": str(graph_path), "n": graph.n,
                     "total_weight": graph.total_weight, "k": k, "models": {}}
     rows: list[dict] = []
     for model, results in _fit_models(plan, graph, k):
@@ -281,10 +274,6 @@ def _csv(fields: list[str], rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _json(value) -> str:
-    return json.dumps(value, indent=2, sort_keys=True) + "\n"
-
-
 def _write_runs(out_dir, plan: ExperimentPlan, records: list[dict],
                 csv_name: str, fields: list[str],
                 tables: dict[str, str] | None = None) -> list[dict]:
@@ -313,5 +302,4 @@ def _write(out_dir, plan: ExperimentPlan, files: dict[str, str]) -> None:
                                     "plan": plan.to_dict(),
                                     "artifacts": sorted([*files, "manifest.json"])})
     for name, text in files.items():
-        with open(out / name, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_text(out / name, text)

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .benchmark import (ExperimentPlan, MODEL_NAMES, model_fit_config,
                         run_ppm_sweep, run_real, run_sbm_ensemble)
-from .core import load_edge_list, read_labels
+from .core import _json, _write_text, load_edge_list, read_labels
 from .generators import (PpmSpec, SbmSpec, generate_ppm, generate_sbm,
                          ppm_rates, write_instance)
 from .metrics import nmi
@@ -78,9 +77,7 @@ def _cmd_fit(args) -> int:
     }
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_text(args.out, _json(payload))
     sizes = best.partition.block_sizes()
     print(f"best loglik={best.log_likelihood:.6f} modularity={best.modularity:.6f} "
           f"block_sizes={sizes}")
@@ -109,8 +106,10 @@ def _cmd_bench(args) -> int:
     elif args.experiment == "sbm":
         rows = run_sbm_ensemble(plan, out_dir=out)
         print(f"wrote {out / 'sbm_ensemble.csv'} ({len(rows)} rows)")
+    elif args.graph is None:
+        raise ValueError("bench real needs --graph")
     else:
-        report = run_real(plan, graph_path=args.graph, k=args.k, out_dir=out)
+        report = run_real(plan, args.graph, k=args.k, out_dir=out)
         for model, info in report["models"].items():
             print(f"{model}: loglik={info['log_likelihood']:.4f} "
                   f"level={info['assortativity_level']} "

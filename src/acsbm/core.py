@@ -14,6 +14,7 @@ hold exactly in integer arithmetic.
 
 from __future__ import annotations
 
+import json
 import operator
 from dataclasses import dataclass
 
@@ -267,12 +268,21 @@ def load_edge_list(path, *, index_base: int = 0) -> Graph:
         return parse_edge_list(fh.read(), index_base=index_base)
 
 
+def _write_text(path, text: str) -> None:
+    """Write text as UTF-8, newlines untranslated: every artifact goes here."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def _json(value) -> str:
+    """The artifact JSON layout: sorted keys, two-space indent, final newline."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
 def write_edge_list(graph: Graph, path) -> None:
     """Write a graph in the edge-list format (with an explicit n directive)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"n {graph.n}\n")
-        for u, v, w in graph.edges:
-            fh.write(f"{u} {v} {w}\n")
+    _write_text(path, f"n {graph.n}\n"
+                + "".join(f"{u} {v} {w}\n" for u, v, w in graph.edges))
 
 
 def read_labels(path) -> list[int]:
@@ -292,9 +302,7 @@ def read_labels(path) -> list[int]:
 
 
 def write_labels(labels, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for b in labels:
-            fh.write(f"{int(b)}\n")
+    _write_text(path, "".join(f"{int(b)}\n" for b in labels))
 
 
 def block_stats(graph: Graph, partition: Partition) -> BlockStats:

@@ -7,14 +7,14 @@ maximize.  Rates above 1 are legal: the output is a multigraph.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import Graph, Partition, write_edge_list, write_labels
+from .core import (Graph, Partition, _json, _write_text, write_edge_list,
+                   write_labels)
 
 __all__ = [
     "PpmSpec",
@@ -151,7 +151,5 @@ def write_instance(prefix, graph: Graph, truth: Partition, meta: dict) -> dict:
     sidecar = dict(meta)
     sidecar.update(n=graph.n, k=truth.k, edges=len(graph.edges),
                    total_weight=graph.total_weight)
-    with open(paths["meta"], "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(paths["meta"], _json(sidecar))
     return {kind: str(p) for kind, p in paths.items()}

@@ -306,18 +306,22 @@ def _on_null_plateau(stats: BlockStats) -> bool:
     optimum, log-likelihood -m whatever the partition: diagonal ratios <= 1
     <= off-diagonal ratios, in strong and in weak mode alike.
 
+    Only the off-diagonal half is tested.  The stats must be consistent,
+    kappa_r = sum_s m_rs and 2m = sum_r kappa_r, as ``block_stats`` builds
+    them; then each row of the gains 2m m_rs - kappa_r kappa_s sums to
+    2m kappa_r - kappa_r 2m = 0, so off-diagonal gains >= 0 force every
+    diagonal gain <= 0.
+
     Weak mode: all cells pool at exactly 1, so Omega = 1 is optimal iff no
     upper set of cells gains at 1 (see ``_weak_optimum``).  Given the test,
     the best one on diagonals S takes every off-diagonal inside S, and its
     gain 2m M_S - kappa_S^2 (M_S the edge ends inside S) is minus the
-    off-diagonal gains 2m m_rs - kappa_r kappa_s between S and the rest, as
-    each row of gains sums to 0: <= 0.  Conversely a weak optimum Omega = 1
-    is strongly feasible, hence the strong optimum too.
+    off-diagonal gains between S and the rest: <= 0.  Conversely a weak
+    optimum Omega = 1 is strongly feasible, hence the strong optimum too.
     """
     m, kappa, two_m, k = stats.m_block, stats.kappa, stats.two_m, stats.k
-    return all(m[r][r] * two_m <= kappa[r] ** 2 for r in range(k)) and all(
-        m[r][s] * two_m >= kappa[r] * kappa[s]
-        for r in range(k) for s in range(r + 1, k))
+    return all(m[r][s] * two_m >= kappa[r] * kappa[s]
+               for r in range(k) for s in range(r + 1, k))
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -33,7 +33,13 @@ def random_partition(rng: random.Random, n: int, k: int,
 
 
 def random_block_stats(rng: random.Random, k: int, hi: int = 20) -> BlockStats:
-    """Symmetric integer stats with consistent marginals and 2m."""
+    """Symmetric integer stats with consistent marginals and 2m.
+
+    Raises ValueError when no entry can be positive: the diagonal draws
+    even values up to hi and the off-diagonal values up to hi.
+    """
+    if k < 1 or hi < (2 if k == 1 else 1):
+        raise ValueError(f"no stats with 2m > 0 for k={k}, hi={hi}")
     while True:
         m = [[0] * k for _ in range(k)]
         for r in range(k):

@@ -57,7 +57,7 @@ class TestPlan:
     def test_every_field_type_checked(self, tmp_path):
         # every field holds a value of its own type (none is left None) and
         # loads; a JSON object is the wrong type for each of them
-        plan = tiny_ppm_plan(graph_path="net.edges", workers=2)
+        plan = tiny_ppm_plan(workers=2)
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(plan.to_dict()))
         assert ExperimentPlan.from_json(path) == plan
@@ -189,11 +189,6 @@ class TestReal:
         assert (tmp_path / "real_report.json").exists()
         assert (tmp_path / "real_runs.csv").read_text().startswith(
             "model,run,loglik,modularity,sweeps")
-
-    def test_missing_graph_path(self):
-        plan = ExperimentPlan(kind="real-network")
-        with pytest.raises(ValueError):
-            run_real(plan)
 
 
 @pytest.mark.parametrize("kind", ["ppm", "sbm", "real"])

@@ -5,6 +5,7 @@ import pytest
 
 from acsbm import write_edge_list
 from acsbm.cli import main
+from acsbm.core import _json
 
 
 @pytest.fixture
@@ -252,6 +253,42 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "k must be >= 1" in err
         assert not (tmp_path / "out").exists()
+
+    def test_real_bench_without_graph_fails(self, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(
+            {"kind": "real-network", "models": ["dc-sbm"], "runs": 1}))
+        rc = main(["bench", "real", "--plan", str(plan_path),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--graph" in err
+        assert not (tmp_path / "out").exists()
+
+
+def test_artifact_layout(tmp_path, triangles_file):
+    # every file acsbm writes is UTF-8 with \n line ends, and its JSON has
+    # the one artifact layout
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(
+        {"kind": "real-network", "models": ["dc-sbm", "ac-dc-sbm"], "runs": 2}))
+    out = tmp_path / "out"
+    for argv in (["fit", "--graph", str(triangles_file), "--k", "2",
+                  "--out", str(out / "fit.json")],
+                 ["generate-sbm", "--n", "20", "--k", "2", "--out",
+                  str(out / "inst")],
+                 ["bench", "real", "--plan", str(plan_path), "--graph",
+                  str(triangles_file), "--k", "2", "--out", str(out / "real")]):
+        assert main(argv) == 0
+    paths = sorted(p for p in out.rglob("*") if p.is_file())
+    assert [p.relative_to(out).as_posix() for p in paths] == [
+        "fit.json", "inst.edges", "inst.json", "inst.labels",
+        "real/manifest.json", "real/real_report.json", "real/real_runs.csv"]
+    for path in paths:
+        text = path.read_bytes().decode("utf-8")
+        assert "\r" not in text and text.endswith("\n"), path
+        if path.suffix == ".json":
+            assert text == _json(json.loads(text)), path
 
 
 class TestUsage:
