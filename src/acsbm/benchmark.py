@@ -29,7 +29,7 @@ from .generators import PpmSpec, SbmSpec, generate_ppm, generate_sbm
 from .metrics import assortativity_level, count_assortative_communities, nmi
 from .search import (OBJECTIVE_LIKELIHOOD, OBJECTIVE_MODULARITY, FitConfig,
                      FitResult, multi_start)
-from .solver import AssortativityMode
+from .solver import AssortativityMode, _row_ends
 
 __all__ = [
     "ExperimentPlan",
@@ -53,18 +53,18 @@ def model_fit_config(model: str, k: int, seed: int,
 
     dc-sbm is the unconstrained likelihood search, ac-dc-sbm the constrained
     one (strong by default, ``mode`` may select weak), and modularity the
-    modularity-objective baseline.
+    modularity-objective baseline.  A mode the model cannot take (weak or
+    strong on the other two, none on ac-dc-sbm) raises ValueError.
     """
-    if model == "dc-sbm":
-        return FitConfig(k=k, mode=AssortativityMode.NONE, seed=seed,
-                         objective=OBJECTIVE_LIKELIHOOD)
-    if model == "ac-dc-sbm":
-        return FitConfig(k=k, mode=mode or AssortativityMode.STRONG,
-                         seed=seed, objective=OBJECTIVE_LIKELIHOOD)
-    if model == "modularity":
-        return FitConfig(k=k, mode=AssortativityMode.NONE, seed=seed,
-                         objective=OBJECTIVE_MODULARITY)
-    raise ValueError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
+    if model not in MODEL_NAMES:
+        raise ValueError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
+    constrained = model == "ac-dc-sbm"
+    mode = AssortativityMode(mode or (AssortativityMode.STRONG if constrained
+                                      else AssortativityMode.NONE))
+    if constrained == (mode is AssortativityMode.NONE):
+        raise ValueError(f"{model} cannot take assortativity mode {mode.value!r}")
+    return FitConfig(k=k, mode=mode, seed=seed, objective=OBJECTIVE_MODULARITY
+                     if model == "modularity" else OBJECTIVE_LIKELIHOOD)
 
 
 def _json_fits(value, hint) -> bool:
@@ -73,8 +73,6 @@ def _json_fits(value, hint) -> bool:
     if origin in (list, tuple):  # list[T] of any length, tuple[T, T] of two
         return isinstance(value, list) and all(_json_fits(v, args[0]) for v in value) \
             and (origin is list or len(value) == len(args))
-    if args:  # T | None
-        return any(_json_fits(value, a) for a in args)
     return type(value) in ((int, float) if hint is float else (hint,))
 
 
@@ -231,7 +229,7 @@ def run_real(plan: ExperimentPlan, graph_path, k: int | None = None,
     k = plan.k if k is None else k
     graph = load_edge_list(graph_path)
 
-    report: dict = {"graph": str(graph_path), "n": graph.n,
+    report: dict = {"graph": Path(graph_path).name, "n": graph.n,
                     "total_weight": graph.total_weight, "k": k, "models": {}}
     rows: list[dict] = []
     for model, results in _fit_models(plan, graph, k):
@@ -240,7 +238,7 @@ def run_real(plan: ExperimentPlan, graph_path, k: int | None = None,
                   "sweeps": r.sweeps} for r in results]
         best = results[0]
         omega = best.omega
-        off = ~np.eye(omega.shape[0], dtype=bool)
+        diag, off = _row_ends(omega.tolist())
         sizes = best.partition.block_sizes()
         report["models"][model] = {
             "log_likelihood": best.log_likelihood,
@@ -248,8 +246,8 @@ def run_real(plan: ExperimentPlan, graph_path, k: int | None = None,
             "seed": best.seed,
             "lambda": best.lam,
             "omega": omega.tolist(),
-            "omega_diag_min": float(np.min(np.diag(omega))),
-            "omega_offdiag_max": float(np.max(omega[off])) if omega.shape[0] > 1 else 0.0,
+            "omega_diag_min": min(diag),
+            "omega_offdiag_max": max(off),
             "assortativity_level": assortativity_level(omega, FEASIBILITY_TOL).value,
             "block_sizes": sizes,
             "nonempty_blocks": sum(1 for s in sizes if s > 0),

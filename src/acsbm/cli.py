@@ -62,7 +62,7 @@ def _cmd_fit(args) -> int:
     results = multi_start(graph, cfg, args.runs, workers=args.workers)
     best = results[0]
     payload = {
-        "graph": str(args.graph),
+        "graph": Path(args.graph).name,
         "model": args.model,
         "k": args.k,
         "runs": args.runs,

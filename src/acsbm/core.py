@@ -201,8 +201,8 @@ def parse_edge_list(text, *, index_base: int = 0) -> Graph:
     Each non-comment line is "u v" or "u v w" with integer ids and an
     optional nonnegative integer weight (default 1).  Lines starting with
     '#' are comments.  A directive line "n <count>" declares the node count,
-    which allows trailing isolated nodes; ids at or beyond a declared count
-    are rejected.  Repeated (u, v) lines accumulate weight.
+    which allows trailing isolated nodes; ``Graph`` rejects ids at or beyond
+    it.  Repeated (u, v) lines accumulate weight.
 
     Parameters
     ----------
@@ -218,7 +218,6 @@ def parse_edge_list(text, *, index_base: int = 0) -> Graph:
 
     declared = None
     entries: list[tuple[int, int, int]] = []
-    max_id = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -252,14 +251,9 @@ def parse_edge_list(text, *, index_base: int = 0) -> Graph:
         if w < 0:
             raise GraphFormatError(f"line {lineno}: negative weight {w}")
         entries.append((u, v, w))
-        if u > max_id:
-            max_id = u
-        if v > max_id:
-            max_id = v
 
-    n = max_id + 1 if declared is None else declared
-    if declared is not None and max_id >= declared:
-        raise GraphFormatError(f"node id {max_id} exceeds declared node count {declared}")
+    n = declared if declared is not None else max(
+        (max(u, v) + 1 for u, v, _ in entries), default=0)
     return Graph(n, entries)
 
 

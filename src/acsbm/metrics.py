@@ -66,10 +66,7 @@ def nmi(p, q) -> float:
 def count_assortative_communities(omega, tol: float = 1e-8) -> int:
     """Number of blocks whose diagonal dominates its row (within tol); omega
     must be square, finite, symmetric and nonnegative (else ValueError)."""
-    rows = _as_omega(omega).tolist()
-    if len(rows) == 1:
-        return 1
-    return sum(_assortative_rows(*_row_ends(rows), tol))
+    return sum(_assortative_rows(*_row_ends(_as_omega(omega).tolist()), tol))
 
 
 def assortativity_level(omega, tol: float = 1e-8) -> AssortativityMode:

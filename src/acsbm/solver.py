@@ -81,9 +81,10 @@ class OmegaSolution:
 
 
 def _row_ends(rows) -> tuple[list[float], list[float]]:
-    """Each row's diagonal entry, and the largest of its other entries."""
+    """Each row's diagonal entry, and the largest of its other entries (0 for
+    a lone block, which is thus assortative)."""
     return ([row[q] for q, row in enumerate(rows)],
-            [max(row[:q] + row[q + 1:]) for q, row in enumerate(rows)])
+            [max(row[:q] + row[q + 1:], default=0.0) for q, row in enumerate(rows)])
 
 
 def _assortative_rows(diag, off, tol: float) -> list[bool]:
@@ -92,8 +93,7 @@ def _assortative_rows(diag, off, tol: float) -> list[bool]:
 
 
 def _satisfied(diag, off, mode: AssortativityMode, tol: float = 0.0) -> bool:
-    """The constraints of ``mode``, up to ``tol``, on the ``_row_ends`` of
-    an omega with at least two blocks."""
+    """The constraints of ``mode``, up to ``tol``, on an omega's ``_row_ends``."""
     if mode is AssortativityMode.STRONG:
         return min(diag) >= max(off) - tol
     return all(_assortative_rows(diag, off, tol))
@@ -104,9 +104,7 @@ def is_feasible(omega, mode: AssortativityMode, tol: float = 0.0) -> bool:
     must be square, finite, symmetric and nonnegative (else ValueError)."""
     rows = _as_omega(omega).tolist()
     mode = AssortativityMode(mode)
-    if mode is AssortativityMode.NONE or len(rows) <= 1:
-        return True
-    return _satisfied(*_row_ends(rows), mode, tol)
+    return mode is AssortativityMode.NONE or _satisfied(*_row_ends(rows), mode, tol)
 
 
 def _phi(rho: float, lam: float) -> float:
@@ -139,7 +137,7 @@ def _mle_gap(cells, mode: AssortativityMode) -> float | None:
     ``is_feasible``, on the cells' row ends.
     """
     diag, _, row_max = cells
-    if mode is AssortativityMode.NONE or len(diag) <= 1:
+    if mode is AssortativityMode.NONE:
         return None
     ends = [d[2] for d in diag], [top[2] for top in row_max]
     if _satisfied(*ends, mode):

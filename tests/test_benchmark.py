@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from acsbm import (ExperimentPlan, Partition, PpmSpec, SbmSpec, block_stats,
-                   generate_ppm, generate_sbm, log_likelihood, run_ppm_sweep,
-                   run_real, run_sbm_ensemble, write_instance)
+from acsbm import (AssortativityMode, ExperimentPlan, Partition, PpmSpec,
+                   SbmSpec, block_stats, generate_ppm, generate_sbm,
+                   log_likelihood, run_ppm_sweep, run_real, run_sbm_ensemble,
+                   write_instance)
 from acsbm.benchmark import model_fit_config
 
 
@@ -81,6 +82,15 @@ class TestPlan:
         assert cfg.objective == "modularity"
         with pytest.raises(ValueError):
             model_fit_config("pagerank", 3, 1)
+
+    @pytest.mark.parametrize("model, mode", [
+        ("dc-sbm", "weak"), ("dc-sbm", "strong"), ("modularity", "weak"),
+        ("ac-dc-sbm", "none")])
+    def test_model_config_rejects_foreign_mode(self, model, mode):
+        with pytest.raises(ValueError, match=f"{model} cannot take .*'{mode}'"):
+            model_fit_config(model, 3, 1, mode=AssortativityMode(mode))
+        assert model_fit_config("ac-dc-sbm", 3, 1, mode=AssortativityMode.WEAK) \
+            .mode is AssortativityMode.WEAK
 
 
 class TestPpmSweep:

@@ -54,6 +54,7 @@ class TestGenerate:
         ["generate-sbm", "--n", "1", "--k", "1"],
         ["generate-sbm", "--n", "2", "--k", "2", "--diag-range", "0,0",
          "--offdiag-range", "0,0.5"],
+        ["generate-sbm", "--n", "10", "--k", "2", "--diag-range", "1"],
     ])
     def test_degenerate_spec_fails_cleanly(self, tmp_path, capsys, argv):
         rc = main(argv + ["--out", str(tmp_path / "x")])
@@ -119,6 +120,27 @@ class TestFit:
         assert main(args + ["--out", str(tmp_path / "b.json")]) == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_graph_recorded_by_file_name(self, tmp_path, monkeypatch,
+                                         triangle_pair):
+        # the same graph and seeds give the same bytes however the path is
+        # spelled, from any directory
+        (tmp_path / "data").mkdir()
+        write_edge_list(triangle_pair, tmp_path / "data" / "net.edges")
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(
+            {"kind": "real-network", "models": ["dc-sbm", "ac-dc-sbm"], "runs": 2}))
+        monkeypatch.chdir(tmp_path)
+        for tag, graph in (("rel", "data/net.edges"),
+                           ("abs", str(tmp_path / "data" / "net.edges"))):
+            assert main(["fit", "--graph", graph, "--k", "2", "--runs", "2",
+                         "--out", f"fit_{tag}.json"]) == 0
+            assert main(["bench", "real", "--plan", "plan.json", "--graph", graph,
+                         "--k", "2", "--out", f"real_{tag}"]) == 0
+        for a, b in (("fit_rel.json", "fit_abs.json"),
+                     ("real_rel/real_report.json", "real_abs/real_report.json")):
+            assert (tmp_path / a).read_bytes() == (tmp_path / b).read_bytes()
+        assert json.loads((tmp_path / "fit_rel.json").read_text())["graph"] == "net.edges"
+
     def test_one_based_input(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("1 2\n2 3\n3 1\n4 5\n5 6\n6 4\n")
@@ -167,6 +189,20 @@ class TestBench:
                    "--out", str(tmp_path / "out")])
         assert rc == 0
         assert (tmp_path / "out" / "ppm_sweep.csv").exists()
+
+    def test_workers_flag_overrides_plan(self, tmp_path):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(
+            {"kind": "sbm-ensemble", "models": ["dc-sbm", "ac-dc-sbm"],
+             "datasets": 2, "runs": 3, "n": 30, "k": 3, "workers": 1}))
+        for workers in ("1", "2"):
+            assert main(["bench", "sbm", "--plan", str(plan_path), "--workers",
+                         workers, "--out", str(tmp_path / workers)]) == 0
+        for name in ("sbm_ensemble.csv", "sbm_summary.csv", "runs.jsonl"):
+            assert (tmp_path / "1" / name).read_bytes() == \
+                (tmp_path / "2" / name).read_bytes()
+        manifest = json.loads((tmp_path / "2" / "manifest.json").read_text())
+        assert manifest["plan"]["workers"] == 2
 
     def test_kind_mismatch_fails(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"

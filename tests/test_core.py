@@ -43,9 +43,11 @@ class TestParse:
         g = parse_edge_list("n 5\n0 1\n")
         assert g.n == 5
         assert g.degree == (1, 1, 0, 0, 0)
+        assert parse_edge_list("n 5\n0 1\nn 5\n") == g  # a repeat that agrees
 
     def test_id_beyond_declared_count_rejected(self):
-        with pytest.raises(GraphFormatError):
+        # Graph's own range check, which every constructed graph passes
+        with pytest.raises(GraphFormatError, match="node id 5 out of range for n=2"):
             parse_edge_list("n 2\n0 5\n")
 
     def test_one_based_input(self):
@@ -56,7 +58,10 @@ class TestParse:
             parse_edge_list("1 2\n2 3\n", 1)
 
     @pytest.mark.parametrize("text", ["0 x\n", "0\n", "0 1 2 3\n",
-                                      "0 1 1.5\n", "-1 2\n", "0 1 -2\n"])
+                                      "0 1 1.5\n", "-1 2\n", "0 1 -2\n",
+                                      # node-count directives
+                                      "n 3 4\n0 1\n", "n x\n0 1\n",
+                                      "n 3\n0 1\nn 4\n"])
     def test_malformed_rejected(self, text):
         with pytest.raises(GraphFormatError):
             parse_edge_list(text)
@@ -76,6 +81,14 @@ class TestParse:
             assert sum(g.degree) == 2 * g.total_weight
 
 
+@pytest.mark.parametrize("n, edges", [
+    (-1, []), (3, [(0, 1.5, 1)]), (3, [(0, 1, "2")]), (3, [(-1, 0, 1)]),
+    (3, [(0, 3, 1)]), (3, [(0, 1, -1)])])
+def test_graph_rejects_invalid_input(n, edges):
+    with pytest.raises(GraphFormatError):
+        Graph(n, edges)
+
+
 class TestRoundTrip:
     def test_edge_list(self, tmp_path, triangle_pair):
         path = tmp_path / "g.edges"
@@ -92,6 +105,9 @@ class TestRoundTrip:
         path = tmp_path / "p.labels"
         write_labels([0, 2, 1, 1], path)
         assert read_labels(path) == [0, 2, 1, 1]
+        path.write_text("0\n# a comment\n1.5\n")
+        with pytest.raises(GraphFormatError, match="line 3: malformed label"):
+            read_labels(path)
 
 
 class TestBlockStats:
@@ -105,6 +121,15 @@ class TestBlockStats:
         st = block_stats(triangle_pair, Partition(1, [0] * 6))
         assert st.m_block == [[12]]
         assert st.kappa == [12]
+
+    @pytest.mark.parametrize("k, assign", [(0, []), (2, [0, 2]), (2, [-1, 0])])
+    def test_invalid_partition_rejected(self, k, assign):
+        with pytest.raises(ValueError):
+            Partition(k, assign)
+
+    def test_size_mismatch_rejected(self, triangle_pair):
+        with pytest.raises(ValueError, match="5 nodes, graph has 6"):
+            block_stats(triangle_pair, Partition(1, [0] * 5))
 
     def test_single_cross_edge(self):
         g = Graph(2, [(0, 1, 1)])

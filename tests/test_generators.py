@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -140,12 +141,41 @@ class TestSbm:
                 SbmSpec(n=10, k=2, diag_range=bad)
             with pytest.raises(ValueError, match="finite"):
                 SbmSpec(n=10, k=2, offdiag_range=bad)
+        with pytest.raises(ValueError, match="k <= n"):
+            SbmSpec(n=3, k=4)
         for spec in ({"n": 10, "k": 2, "diag_range": (0.0, 0.0),
                       "offdiag_range": (0.0, 0.0)},
                      {"n": 10, "k": 1, "diag_range": (0.0, 0.0)},
                      {"n": 1, "k": 1}):
             with pytest.raises(ValueError, match="no node pair"):
                 SbmSpec(**spec)
+
+
+# SHA-256 of the instances below (edges, labels and the SBM's planted
+# omega) as sampled before the PPM and the SBM shared one Poisson sampler:
+# the n = 100 acceptance fixtures, the two n = 1000 PPM instances of the
+# scale benchmark and the SBM ensemble's first two datasets.  A change to
+# the generators must keep every instance bit for bit.
+INSTANCE_DIGEST = "2f4cea7c1cdc35fe863873bbd12ddeed8545db519bbfb8e90adc1fbdc77c05f7"
+
+
+def instance_digest() -> str:
+    specs = [PpmSpec(n=100, k=4, avg_degree=16.0, ratio=ratio, seed=seed)
+             for seed, ratio in ((1200, 0.10), (1201, 0.25), (1202, 0.60))]
+    specs += [PpmSpec(n=1000, k=4, avg_degree=16.0, ratio=ratio, seed=seed)
+              for seed, ratio in ((7000, 0.10), (7001, 0.25))]
+    specs += [SbmSpec(n=100, k=4, seed=seed) for seed in (2000, 2001)]
+    digest = hashlib.sha256()
+    for spec in specs:
+        generate = generate_ppm if isinstance(spec, PpmSpec) else generate_sbm
+        graph, truth, *planted = generate(spec)
+        digest.update(json.dumps([graph.n, graph.edges, truth.k, truth.assign,
+                                  [w.tolist() for w in planted]]).encode())
+    return digest.hexdigest()
+
+
+def test_instances_bit_identical():
+    assert instance_digest() == INSTANCE_DIGEST
 
 
 class TestWriteInstance:

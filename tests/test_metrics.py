@@ -46,6 +46,8 @@ class TestNmi:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             nmi([0, 1], [0, 1, 1])
+        with pytest.raises(ValueError, match="empty"):
+            nmi([], [])
 
     def test_negative_labels_rejected(self):
         with pytest.raises(ValueError):
@@ -68,7 +70,11 @@ class TestAssortativeCommunityCount:
         assert count_assortative_communities(w) == 2
 
     def test_single_block(self):
+        # a lone row has no other entry, so its off-diagonal end is 0 and a
+        # negative tol acts on it as on any row
         assert count_assortative_communities([[3.0]]) == 1
+        assert count_assortative_communities([[3.0]], tol=-4.0) == 0
+        assert assortativity_level([[3.0]]) is AssortativityMode.STRONG
 
     def test_matches_row_condition(self):
         rng = random.Random(7)

@@ -466,6 +466,8 @@ class TestModularityObjective:
                 FitConfig(k=2, mode=mode, objective="modularity")
         assert FitConfig(k=2, mode="none", objective="modularity").mode \
             is AssortativityMode.NONE
+        with pytest.raises(ValueError, match="unknown objective"):
+            FitConfig(k=2, objective="entropy")
 
 
 class TestMultiStart:
