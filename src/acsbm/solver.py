@@ -23,9 +23,9 @@ ratios weighted by T, whose level sets a series of minimum cuts finds.
 ``OmegaSolution``: the search calls it once per fit, for the final omega.
 ``_satisfied`` is the one constraint test, on each row's diagonal entry
 and largest other entry: ``is_feasible`` applies it to a given omega and
-``_mle_gap`` to the cells.  ``_mle_gap`` screens each improving candidate
-of the search and, when the test fails, bounds from below what the
-constraints cost, by the exact optimum of the two-cell problem of one
+``_mle_gap`` its rule to the cells.  ``_mle_gap`` screens each improving
+candidate of the search and, when the test fails, bounds from below what
+the constraints cost, by the exact optimum of the two-cell problem of one
 violated pair; a candidate it does not rule out takes its value from
 ``_OPTIMA`` on the same cells, with no omega built.
 ``lambda_profile_oracle`` solves strong mode by golden-section search over
@@ -133,19 +133,23 @@ def _mle_gap(cells, mode: AssortativityMode) -> float | None:
     off-diagonal one (bound 0 if those two are in order: the violation is
     then a zero-degree block's diagonal, which is free).  Weak mode takes
     the largest bound over violated rows, each diagonal against its row's
-    largest entry.  The constraint test itself is ``_satisfied``, as for
-    ``is_feasible``, on the cells' row ends.
+    largest entry.  The constraint test is ``_satisfied``'s, as for
+    ``is_feasible``: weak mode calls it on the cells' row ends, and strong
+    mode applies its rule (smallest diagonal against largest row end) to
+    the cells directly.
     """
     diag, _, row_max = cells
     if mode is AssortativityMode.NONE:
         return None
+    if mode is AssortativityMode.STRONG:
+        top = max(row_max, key=lambda cell: cell[2])
+        if min(d[2] for d in diag) >= top[2]:
+            return None
+        low = min((d for d in diag if d[1]), key=lambda d: d[2])
+        return _pair_gap(low, top) if low[2] < top[2] else 0.0
     ends = [d[2] for d in diag], [top[2] for top in row_max]
     if _satisfied(*ends, mode):
         return None
-    if mode is AssortativityMode.STRONG:
-        top = max(row_max, key=lambda cell: cell[2])
-        low = min((d for d in diag if d[1]), key=lambda d: d[2])
-        return _pair_gap(low, top) if low[2] < top[2] else 0.0
     return max(_pair_gap(d, top) for d, top, ok
                in zip(diag, row_max, _assortative_rows(*ends, 0.0)) if not ok)
 

@@ -22,6 +22,18 @@ def random_graph(rng: random.Random, n: int, p: float = 0.4,
     return Graph(n, edges)
 
 
+def one_shot_pair_graph(labels: np.ndarray, omega: np.ndarray,
+                        rng: np.random.Generator) -> Graph:
+    """The Poisson pair graph drawn by one ``rng.poisson`` call over
+    ``np.triu_indices``: a count for each pair u < v, row by row, at rate
+    omega[labels[u], labels[v]]."""
+    iu, ju = np.triu_indices(len(labels), k=1)
+    counts = rng.poisson(omega[labels[iu], labels[ju]])
+    nz = counts > 0
+    return Graph(len(labels), zip(iu[nz].tolist(), ju[nz].tolist(),
+                                  counts[nz].tolist()))
+
+
 def random_partition(rng: random.Random, n: int, k: int,
                      surjective: bool = False) -> Partition:
     assign = [rng.randrange(k) for _ in range(n)]

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ import pytest
 from acsbm import (FitConfig, PpmSpec, SbmSpec, block_stats, fit,
                    generate_ppm, generate_sbm, load_edge_list, nmi,
                    omega_mle, ppm_rates, read_labels, write_instance)
+from acsbm import generators
+from helpers import one_shot_pair_graph
 
 
 class TestPpm:
@@ -176,6 +180,51 @@ def instance_digest() -> str:
 
 def test_instances_bit_identical():
     assert instance_digest() == INSTANCE_DIGEST
+
+
+# A block holds whole rows of pairs.  Limits of 1 (one row per block), of
+# the first row's pairs and one either side at n = 100 and n = 1000, and a
+# prime that takes several rows.
+@pytest.mark.parametrize("block", [1, 99, 100, 101, 999, 1000, 1001, 7919])
+def test_instances_independent_of_block_size(monkeypatch, block):
+    monkeypatch.setattr(generators, "_BLOCK_PAIRS", block)
+    assert instance_digest() == INSTANCE_DIGEST
+
+
+@pytest.mark.parametrize("block", [None, 1, 299, 300, 7919])
+def test_sbm_matches_one_shot_draw(monkeypatch, block):
+    # the graph generate_sbm returns equals one poisson call over every
+    # pair, drawn from the generator's state as the pairs are reached
+    if block is not None:
+        monkeypatch.setattr(generators, "_BLOCK_PAIRS", block)
+    seen = {}
+    sampler = generators._poisson_pair_graph
+
+    def spy(labels, omega, rng):
+        seen.update(labels=labels.copy(), omega=omega.copy(),
+                    state=copy.deepcopy(rng.bit_generator.state))
+        return sampler(labels, omega, rng)
+
+    monkeypatch.setattr(generators, "_poisson_pair_graph", spy)
+    graph, truth, _ = generate_sbm(SbmSpec(n=300, k=5, seed=2024))
+    assert seen["labels"].tolist() == truth.assign
+    assert np.any(np.diff(seen["labels"]) < 0)  # unsorted labels
+    rng = np.random.default_rng()
+    rng.bit_generator.state = seen["state"]
+    assert graph == one_shot_pair_graph(seen["labels"], seen["omega"], rng)
+
+
+def test_generation_memory_bounded():
+    # working memory is one block of pairs besides the graph: drawing all
+    # n(n-1)/2 pairs in one call peaks near 15 MiB here
+    spec = PpmSpec(n=1000, k=4, avg_degree=16, ratio=0.25, seed=7001)
+    tracemalloc.start()
+    try:
+        generate_ppm(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 class TestWriteInstance:
