@@ -18,8 +18,6 @@ import json
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "Graph",
     "Partition",
@@ -65,12 +63,20 @@ class Graph:
         Weighted degrees k_i (self-loops count twice).
     total_weight : int
         m = (1/2) sum_i k_i.
+    adjacency : tuple of tuple of (j, A_ij)
+        Off-diagonal adjacency row of each node.
+    self_weight : tuple of int
+        Diagonal adjacency A_ii (twice the self-loop weight).
     """
 
-    __slots__ = ("n", "edges", "degree", "total_weight",
-                 "_adj", "_self_weight")
+    __slots__ = ("n", "edges", "degree", "total_weight", "adjacency",
+                 "self_weight")
 
     def __init__(self, n: int, edges) -> None:
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise GraphFormatError(f"non-integer node count {n!r}") from None
         if n < 0:
             raise GraphFormatError(f"negative node count {n}")
         acc: dict[tuple[int, int], int] = {}
@@ -90,46 +96,25 @@ class Graph:
             acc[key] = acc.get(key, 0) + w
 
         canon = tuple(sorted((u, v, w) for (u, v), w in acc.items() if w > 0))
+        del acc
         degree = [0] * n
-        self_weight = [0] * n          # A_ii values (2 * loop weight)
+        self_weight = [0] * n
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        m = 0
         for u, v, w in canon:
-            m += w
+            degree[u] += w
+            degree[v] += w
             if u == v:
-                degree[u] += 2 * w
-                self_weight[u] += 2 * w
+                self_weight[u] = 2 * w
             else:
-                degree[u] += w
-                degree[v] += w
                 adj[u].append((v, w))
                 adj[v].append((u, w))
 
         self.n = n
         self.edges = canon
         self.degree = tuple(degree)
-        self.total_weight = m
-        self._adj = tuple(tuple(a) for a in adj)
-        self._self_weight = tuple(self_weight)
-
-    def neighbors(self, i: int) -> tuple[tuple[int, int], ...]:
-        """Off-diagonal adjacency row of node i as ((j, A_ij), ...)."""
-        return self._adj[i]
-
-    def self_adjacency(self, i: int) -> int:
-        """Diagonal adjacency A_ii (twice the self-loop weight)."""
-        return self._self_weight[i]
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense symmetric adjacency matrix (A_ii = 2 * loop weight)."""
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        for u, v, w in self.edges:
-            if u == v:
-                a[u, u] += 2 * w
-            else:
-                a[u, v] += w
-                a[v, u] += w
-        return a
+        self.total_weight = sum(degree) // 2
+        self.adjacency = tuple(map(tuple, adj))
+        self.self_weight = tuple(self_weight)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph)
@@ -158,6 +143,10 @@ class Partition:
         if self.k < 1:
             raise ValueError(f"block count must be >= 1, got {self.k}")
         for b in self.assign:
+            try:
+                b = operator.index(b)
+            except TypeError:
+                raise ValueError(f"non-integer block id {b!r}") from None
             if not 0 <= b < self.k:
                 raise ValueError(f"block id {b} out of range [0, {self.k})")
 
@@ -244,16 +233,10 @@ def parse_edge_list(text, *, index_base: int = 0) -> Graph:
             w = int(tokens[2]) if len(tokens) == 3 else 1
         except ValueError:
             raise GraphFormatError(f"line {lineno}: malformed integer token in {line!r}") from None
-        u -= index_base
-        v -= index_base
-        if u < 0 or v < 0:
-            raise GraphFormatError(f"line {lineno}: negative node id after base adjustment")
-        if w < 0:
-            raise GraphFormatError(f"line {lineno}: negative weight {w}")
-        entries.append((u, v, w))
+        entries.append((u - index_base, v - index_base, w))
 
     n = declared if declared is not None else max(
-        (max(u, v) + 1 for u, v, _ in entries), default=0)
+        [0] + [max(u, v) + 1 for u, v, _ in entries])
     return Graph(n, entries)
 
 
@@ -308,22 +291,16 @@ def block_stats(graph: Graph, partition: Partition) -> BlockStats:
     m = [[0] * k for _ in range(k)]
     for u, v, w in graph.edges:
         r, s = assign[u], assign[v]
-        if r == s:
-            m[r][r] += 2 * w
-        else:
-            m[r][s] += w
-            m[s][r] += w
-    kappa = [0] * k
-    for i, b in enumerate(assign):
-        kappa[b] += graph.degree[i]
-    return BlockStats(k, m, kappa, 2 * graph.total_weight)
+        m[r][s] += w
+        m[s][r] += w
+    return BlockStats(k, m, [sum(row) for row in m], 2 * graph.total_weight)
 
 
 def edges_into_blocks(graph: Graph, partition: Partition, i: int) -> list[int]:
     """d_ir = sum_{j != i} A_ij z_jr, the edge weight from i into each block."""
     d = [0] * partition.k
     assign = partition.assign
-    for j, w in graph.neighbors(i):
+    for j, w in graph.adjacency[i]:
         d[assign[j]] += w
     return d
 
@@ -347,20 +324,18 @@ def _check_move(partition: Partition, i: int, b: int) -> int:
 def _relocate_stats(stats: BlockStats, d: list[int], k_i: int, self_a: int,
                     a: int, b: int) -> None:
     """Apply the move of a node (degree k_i, diagonal A_ii = self_a, block
-    edge profile d) from block a to block b, in place.  O(K)."""
+    edge profile d) from block a to block b, in place.  O(K).  With m_rr
+    counted twice, rows a and b need no update of their own."""
     m = stats.m_block
     for r in range(stats.k):
         dr = d[r]
-        if dr and r != a and r != b:
+        if dr:
             m[a][r] -= dr
             m[r][a] -= dr
             m[b][r] += dr
             m[r][b] += dr
-    m[a][a] -= 2 * d[a] + self_a
-    m[b][b] += 2 * d[b] + self_a
-    delta_ab = d[a] - d[b]
-    m[a][b] += delta_ab
-    m[b][a] += delta_ab
+    m[a][a] -= self_a
+    m[b][b] += self_a
     stats.kappa[a] -= k_i
     stats.kappa[b] += k_i
 
@@ -383,5 +358,5 @@ def apply_relocation(stats: BlockStats, graph: Graph, partition: Partition,
     a = _check_move(partition, i, b)
     out = stats.copy()
     d = edges_into_blocks(graph, partition, i)
-    _relocate_stats(out, d, graph.degree[i], graph.self_adjacency(i), a, b)
+    _relocate_stats(out, d, graph.degree[i], graph.self_weight[i], a, b)
     return out

@@ -17,7 +17,10 @@ __all__ = [
 
 
 def _labels(p) -> np.ndarray:
-    return np.asarray(getattr(p, "assign", p), dtype=np.int64)
+    a = np.asarray(getattr(p, "assign", p))
+    if a.size and a.dtype.kind not in "biu":
+        raise ValueError(f"labels must be integers, got dtype {a.dtype}")
+    return a.astype(np.int64)
 
 
 def contingency_table(p, q) -> np.ndarray:

@@ -236,7 +236,7 @@ def delta_relocation(stats: BlockStats, graph: Graph, partition: Partition,
     a = _check_move(partition, i, b)
     d = edges_into_blocks(graph, partition, i)
     return _delta_profile(stats.m_block, stats.kappa, _XLogX(), d,
-                          graph.degree[i], graph.self_adjacency(i), a, b)
+                          graph.degree[i], graph.self_weight[i], a, b)
 
 
 def _random_partition(n: int, k: int, rng: random.Random) -> list[int]:
@@ -315,7 +315,7 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
                 continue
             d = nbr[i]
             ki = degree[i]
-            l2 = graph.self_adjacency(i)
+            l2 = graph.self_weight[i]
             for b in range(k):
                 if b == a:
                     continue
@@ -354,7 +354,7 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
                     sizes[a] -= 1
                     sizes[b] += 1
                     # i's own row counts only j != i, so it stays as is
-                    for j, w in graph.neighbors(i):
+                    for j, w in graph.adjacency[i]:
                         row = nbr[j]
                         row[a] -= w
                         row[b] += w

@@ -22,6 +22,15 @@ def random_graph(rng: random.Random, n: int, p: float = 0.4,
     return Graph(n, edges)
 
 
+def dense_adjacency(graph: Graph) -> np.ndarray:
+    """Dense symmetric adjacency matrix (A_ii = 2 * loop weight)."""
+    a = np.zeros((graph.n, graph.n), dtype=np.int64)
+    for u, v, w in graph.edges:
+        a[u, v] += w
+        a[v, u] += w
+    return a
+
+
 def one_shot_pair_graph(labels: np.ndarray, omega: np.ndarray,
                         rng: np.random.Generator) -> Graph:
     """The Poisson pair graph drawn by one ``rng.poisson`` call over

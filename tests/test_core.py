@@ -1,17 +1,20 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from acsbm import (EmptyBlockMoveError, Graph, GraphFormatError, Partition,
-                   apply_relocation, block_stats, load_edge_list,
-                   parse_edge_list, read_labels, write_edge_list, write_labels)
-from helpers import legal_moves, numpy_m_t, random_graph, random_partition
+                   PpmSpec, apply_relocation, block_stats, generate_ppm,
+                   load_edge_list, parse_edge_list, read_labels,
+                   write_edge_list, write_labels)
+from helpers import (dense_adjacency, legal_moves, numpy_m_t, random_graph,
+                     random_partition)
 
 
 def brute_force_stats(graph, partition):
     """Independent oracle: block sums over the dense adjacency matrix."""
-    a = graph.adjacency_matrix()
+    a = dense_adjacency(graph)
     k = partition.k
     z = np.zeros((graph.n, k), dtype=np.int64)
     z[np.arange(graph.n), partition.assign] = 1
@@ -50,6 +53,14 @@ class TestParse:
         with pytest.raises(GraphFormatError, match="node id 5 out of range for n=2"):
             parse_edge_list("n 2\n0 5\n")
 
+    @pytest.mark.parametrize("text, base, message", [
+        ("0 1\n", 1, "negative node id"), ("-5 -3\n", 0, "negative node id"),
+        ("0 1 -2\n", 0, "negative weight")])
+    def test_graph_checks_parsed_entries(self, text, base, message):
+        # the parser leaves these checks to Graph, the one edge validator
+        with pytest.raises(GraphFormatError, match=message):
+            parse_edge_list(text, index_base=base)
+
     def test_one_based_input(self):
         g = parse_edge_list("1 2\n2 3\n", index_base=1)
         assert g.n == 3
@@ -83,10 +94,26 @@ class TestParse:
 
 @pytest.mark.parametrize("n, edges", [
     (-1, []), (3, [(0, 1.5, 1)]), (3, [(0, 1, "2")]), (3, [(-1, 0, 1)]),
-    (3, [(0, 3, 1)]), (3, [(0, 1, -1)])])
+    (3, [(0, 3, 1)]), (3, [(0, 1, -1)]), (2.5, [])])
 def test_graph_rejects_invalid_input(n, edges):
     with pytest.raises(GraphFormatError):
         Graph(n, edges)
+
+
+def test_graph_build_memory_near_result():
+    # the merge dict is freed before the adjacency is built, so the peak is
+    # little above what the graph keeps (all three alive at once: 1.5x)
+    g, _ = generate_ppm(PpmSpec(n=1000, k=4, avg_degree=16, ratio=0.25,
+                                seed=7001))
+    edges = list(g.edges)
+    tracemalloc.start()
+    try:
+        built = Graph(g.n, edges)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built == g
+    assert peak <= 1.3 * kept
 
 
 class TestRoundTrip:
@@ -122,7 +149,8 @@ class TestBlockStats:
         assert st.m_block == [[12]]
         assert st.kappa == [12]
 
-    @pytest.mark.parametrize("k, assign", [(0, []), (2, [0, 2]), (2, [-1, 0])])
+    @pytest.mark.parametrize("k, assign", [(0, []), (2, [0, 2]), (2, [-1, 0]),
+                                           (2, [0, 1.5]), (2, [0, "1"])])
     def test_invalid_partition_rejected(self, k, assign):
         with pytest.raises(ValueError):
             Partition(k, assign)

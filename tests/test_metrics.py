@@ -53,6 +53,15 @@ class TestNmi:
         with pytest.raises(ValueError):
             nmi([-1, 0], [0, 0])
 
+    @pytest.mark.parametrize("labels", [[0, 1.5, 1], np.array([0.0, 1.0, 1.0]),
+                                        ["0", "1", "1"], [0, None, 1]])
+    def test_non_integer_labels_rejected(self, labels):
+        # a float label would otherwise be truncated: 1.5 read as 1
+        with pytest.raises(ValueError, match="labels must be integers"):
+            nmi(labels, [0, 1, 1])
+        with pytest.raises(ValueError, match="labels must be integers"):
+            contingency_table([0, 1, 1], labels)
+
     def test_contingency_counts(self):
         t = contingency_table([0, 0, 1, 1], [0, 1, 1, 1])
         assert t.tolist() == [[1, 1], [0, 2]]
