@@ -16,8 +16,7 @@ from .likelihood import (log_likelihood, modularity, omega_mle,
                          profile_log_likelihood, profile_offset)
 from .solver import (AssortativityMode, OmegaSolution, is_feasible,
                      lambda_profile_oracle, solve_constrained)
-from .metrics import (assortativity_level, contingency_table,
-                      count_assortative_communities, nmi)
+from .metrics import assortativity_level, count_assortative_communities, nmi
 from .search import (FitConfig, FitResult, delta_relocation, fit, multi_start)
 from .generators import (PpmSpec, SbmSpec, generate_ppm, generate_sbm,
                          ppm_rates, write_instance)
@@ -34,8 +33,7 @@ __all__ = [
     "profile_offset", "modularity",
     "AssortativityMode", "OmegaSolution", "is_feasible",
     "solve_constrained", "lambda_profile_oracle",
-    "assortativity_level", "contingency_table",
-    "count_assortative_communities", "nmi",
+    "assortativity_level", "count_assortative_communities", "nmi",
     "FitConfig", "FitResult", "fit", "delta_relocation", "multi_start",
     "PpmSpec", "SbmSpec", "generate_ppm", "generate_sbm", "ppm_rates",
     "write_instance",

@@ -54,11 +54,9 @@ def _cmd_generate_sbm(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    if args.mode is not None and args.model != "ac-dc-sbm":
-        raise ValueError("--mode only applies to --model ac-dc-sbm")
-    graph = load_edge_list(args.graph, index_base=1 if args.one_based else 0)
     mode = AssortativityMode(args.mode) if args.mode else None
     cfg = model_fit_config(args.model, args.k, args.seed, mode=mode)
+    graph = load_edge_list(args.graph, index_base=1 if args.one_based else 0)
     results = multi_start(graph, cfg, args.runs, workers=args.workers)
     best = results[0]
     payload = {

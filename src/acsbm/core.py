@@ -43,6 +43,17 @@ class EmptyBlockMoveError(ValueError):
     """A relocation would leave its source block empty."""
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an int >= 1, else ValueError naming the field."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 class Graph:
     """Immutable weighted undirected multigraph with cached degree statistics.
 
@@ -140,8 +151,7 @@ class Partition:
     assign: list[int]
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"block count must be >= 1, got {self.k}")
+        self.k = _count("k", self.k)
         for b in self.assign:
             try:
                 b = operator.index(b)

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (Graph, Partition, _json, _write_text, write_edge_list,
-                   write_labels)
+from .core import (Graph, Partition, _count, _json, _write_text,
+                   write_edge_list, write_labels)
 
 __all__ = [
     "PpmSpec",
@@ -45,8 +45,8 @@ class PpmSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.k < 1 or self.k > self.n:
-            raise ValueError(f"need 1 <= k <= n, got n={self.n}, k={self.k}")
+        if _count("n", self.n) < _count("k", self.k):
+            raise ValueError(f"need k <= n, got n={self.n}, k={self.k}")
         if not 0 <= self.ratio <= 1:
             raise ValueError(f"ratio must lie in [0, 1], got {self.ratio}")
         if not 0 < self.avg_degree < self.n:
@@ -67,8 +67,8 @@ class SbmSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.k < 1 or self.k > self.n:
-            raise ValueError(f"need 1 <= k <= n, got n={self.n}, k={self.k}")
+        if _count("n", self.n) < _count("k", self.k):
+            raise ValueError(f"need k <= n, got n={self.n}, k={self.k}")
         for lo, hi in (self.diag_range, self.offdiag_range):
             if not 0 <= lo <= hi < math.inf:
                 raise ValueError(f"invalid rate range [{lo}, {hi}]: need finite 0 <= lo <= hi")

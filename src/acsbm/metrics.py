@@ -5,11 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from .likelihood import _as_omega
-from .solver import (AssortativityMode, _assortative_rows, _row_ends,
-                     is_feasible)
+from .solver import AssortativityMode, _assortative_rows, _row_ends, _satisfied
 
 __all__ = [
-    "contingency_table",
     "nmi",
     "count_assortative_communities",
     "assortativity_level",
@@ -23,21 +21,6 @@ def _labels(p) -> np.ndarray:
     return a.astype(np.int64)
 
 
-def contingency_table(p, q) -> np.ndarray:
-    """Joint label counts; entry [a, b] counts nodes labelled a in p, b in q."""
-    a = _labels(p)
-    b = _labels(q)
-    if a.shape != b.shape:
-        raise ValueError(f"label arrays differ in length: {a.shape} vs {b.shape}")
-    if (a.size and a.min() < 0) or (b.size and b.min() < 0):
-        raise ValueError("labels must be nonnegative")
-    na = int(a.max()) + 1 if a.size else 0
-    nb = int(b.max()) + 1 if b.size else 0
-    table = np.zeros((na, nb), dtype=np.int64)
-    np.add.at(table, (a, b), 1)
-    return table
-
-
 def _entropy(counts: np.ndarray) -> float:
     p = counts[counts > 0] / counts.sum()
     return float(-np.sum(p * np.log(p)))
@@ -48,8 +31,17 @@ def nmi(p, q) -> float:
 
     Natural-log entropies from empirical label frequencies.  Two constant
     labelings have zero joint entropy and count as perfect agreement (1.0).
+    Labels may be any nonnegative integers; memory scales with node count.
     """
-    table = contingency_table(p, q)
+    a, b = _labels(p), _labels(q)
+    if a.shape != b.shape:
+        raise ValueError(f"label arrays differ in length: {a.shape} vs {b.shape}")
+    if a.size and min(a.min(), b.min()) < 0:
+        raise ValueError("labels must be nonnegative")
+    ua, ia = np.unique(a, return_inverse=True)
+    ub, ib = np.unique(b, return_inverse=True)
+    table = np.zeros((ua.size, ub.size), dtype=np.int64)
+    np.add.at(table, (ia, ib), 1)
     n = table.sum()
     if n == 0:
         raise ValueError("empty labelings")
@@ -73,9 +65,10 @@ def count_assortative_communities(omega, tol: float = 1e-8) -> int:
 
 
 def assortativity_level(omega, tol: float = 1e-8) -> AssortativityMode:
-    """Strongest assortativity classification satisfied by omega."""
-    if is_feasible(omega, AssortativityMode.STRONG, tol):
-        return AssortativityMode.STRONG
-    if is_feasible(omega, AssortativityMode.WEAK, tol):
-        return AssortativityMode.WEAK
+    """Strongest assortativity classification satisfied by omega; omega
+    must be square, finite, symmetric and nonnegative (else ValueError)."""
+    ends = _row_ends(_as_omega(omega).tolist())
+    for mode in (AssortativityMode.STRONG, AssortativityMode.WEAK):
+        if _satisfied(*ends, mode, tol):
+            return mode
     return AssortativityMode.NONE

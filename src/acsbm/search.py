@@ -57,7 +57,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (BlockStats, Graph, Partition, _check_move,
+from .core import (BlockStats, Graph, Partition, _check_move, _count,
                    _relocate_stats, block_stats, edges_into_blocks)
 # log_likelihood, omega_mle and is_feasible are unused here; they stay module
 # attributes because the benchmark's tracer patches them.
@@ -94,8 +94,7 @@ class FitConfig:
     objective: str = OBJECTIVE_LIKELIHOOD
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        object.__setattr__(self, "k", _count("k", self.k))
         if self.objective not in (OBJECTIVE_LIKELIHOOD, OBJECTIVE_MODULARITY):
             raise ValueError(f"unknown objective {self.objective!r}")
         object.__setattr__(self, "mode", AssortativityMode(self.mode))
@@ -442,11 +441,8 @@ def multi_start(graph: Graph, cfg: FitConfig, runs: int,
     is replaced on the next call.  Being one per process, the pool is not
     meant for calls from several threads at once.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    workers = min(workers, runs)
+    runs = _count("runs", runs)
+    workers = min(_count("workers", workers), runs)
     cfgs = [replace(cfg, seed=cfg.seed + r) for r in range(runs)]
     if workers == 1:
         results = [fit(graph, c) for c in cfgs]

@@ -31,6 +31,27 @@ def dense_adjacency(graph: Graph) -> np.ndarray:
     return a
 
 
+def dense_nmi(p, q) -> float:
+    """NMI from a joint table with one row (column) per label value up to
+    the largest, empty rows included: the formula ``acsbm.metrics.nmi``
+    evaluates on the labels that occur.  Memory grows with the largest
+    label, so keep labels small."""
+    a, b = np.asarray(p, dtype=np.int64), np.asarray(q, dtype=np.int64)
+    table = np.zeros((a.max() + 1, b.max() + 1), dtype=np.int64)
+    np.add.at(table, (a, b), 1)
+    n = table.sum()
+    row = table.sum(axis=1)
+    col = table.sum(axis=0)
+    hp, hq = (float(-np.sum(f * np.log(f)))
+              for f in (row[row > 0] / n, col[col > 0] / n))
+    if hp + hq == 0.0:
+        return 1.0
+    mask = table > 0
+    pj = table[mask] / n
+    outer = np.outer(row, col)[mask] / (n * n)
+    return 2.0 * float(np.sum(pj * np.log(pj / outer))) / (hp + hq)
+
+
 def one_shot_pair_graph(labels: np.ndarray, omega: np.ndarray,
                         rng: np.random.Generator) -> Graph:
     """The Poisson pair graph drawn by one ``rng.poisson`` call over

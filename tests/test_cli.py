@@ -90,7 +90,16 @@ class TestFit:
         rc = main(["fit", "--graph", str(triangles_file), "--k", "2",
                    "--model", "dc-sbm", "--mode", "weak"])
         assert rc == 1
-        assert "--mode" in capsys.readouterr().err
+        assert "dc-sbm cannot take assortativity mode 'weak'" in capsys.readouterr().err
+
+    def test_strong_mode_rejected_by_model_rule(self, capsys, triangles_file):
+        # the CLI has no mode rule of its own: model_fit_config's is the one
+        rc = main(["fit", "--graph", str(triangles_file), "--k", "2",
+                   "--model", "dc-sbm", "--mode", "strong"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert err == "error: dc-sbm cannot take assortativity mode 'strong'\n"
+        assert out == ""
 
     def test_weak_mode_accepted(self, tmp_path, triangles_file):
         out = tmp_path / "r.json"

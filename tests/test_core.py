@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from acsbm import (EmptyBlockMoveError, Graph, GraphFormatError, Partition,
-                   PpmSpec, apply_relocation, block_stats, generate_ppm,
-                   load_edge_list, parse_edge_list, read_labels,
-                   write_edge_list, write_labels)
+from acsbm import (EmptyBlockMoveError, FitConfig, Graph, GraphFormatError,
+                   Partition, PpmSpec, SbmSpec, apply_relocation, block_stats,
+                   generate_ppm, load_edge_list, multi_start, parse_edge_list,
+                   read_labels, write_edge_list, write_labels)
 from helpers import (dense_adjacency, legal_moves, numpy_m_t, random_graph,
                      random_partition)
 
@@ -98,6 +98,26 @@ class TestParse:
 def test_graph_rejects_invalid_input(n, edges):
     with pytest.raises(GraphFormatError):
         Graph(n, edges)
+
+
+_EDGE = Graph(2, [(0, 1, 1)])
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: Partition(2.0, [0, 1]), "k"),
+    (lambda: FitConfig(k=2.5), "k"),
+    (lambda: PpmSpec(n=10.5, k=2, avg_degree=3.0, ratio=0.5), "n"),
+    (lambda: PpmSpec(n=10, k=2.0, avg_degree=3.0, ratio=0.5), "k"),
+    (lambda: SbmSpec(n=10.0, k=2), "n"),
+    (lambda: SbmSpec(n=10, k=2.0), "k"),
+    (lambda: multi_start(_EDGE, FitConfig(k=1), runs=2.0), "runs"),
+    (lambda: multi_start(_EDGE, FitConfig(k=1), runs=2, workers=1.0), "workers"),
+], ids=["partition-k", "fitconfig-k", "ppm-n", "ppm-k", "sbm-n", "sbm-k",
+        "multi-start-runs", "multi-start-workers"])
+def test_counts_must_be_integers(build, field):
+    # each count is checked where it is given, not where it is first used
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        build()
 
 
 def test_graph_build_memory_near_result():

@@ -1,12 +1,13 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from acsbm import (AssortativityMode, assortativity_level, contingency_table,
+from acsbm import (AssortativityMode, assortativity_level,
                    count_assortative_communities, is_feasible, nmi,
                    solve_constrained)
-from helpers import random_block_stats
+from helpers import dense_nmi, random_block_stats
 from test_solver import MALFORMED_OMEGAS, OMEGA_NOT_STRONG, OMEGA_STRONG
 
 
@@ -60,12 +61,30 @@ class TestNmi:
         with pytest.raises(ValueError, match="labels must be integers"):
             nmi(labels, [0, 1, 1])
         with pytest.raises(ValueError, match="labels must be integers"):
-            contingency_table([0, 1, 1], labels)
+            nmi([0, 1, 1], labels)
 
-    def test_contingency_counts(self):
-        t = contingency_table([0, 0, 1, 1], [0, 1, 1, 1])
-        assert t.tolist() == [[1, 1], [0, 2]]
-        assert t.sum() == 4
+    def test_equals_dense_table_bit_for_bit(self):
+        # labels drawn from a few values spread over [0, 60): most label
+        # values up to the largest never occur, so the dense reference has
+        # empty rows and columns that nmi's table leaves out
+        rng = random.Random(2024)
+        for _ in range(300):
+            n = rng.randint(1, 60)
+            values = [rng.sample(range(60), rng.randint(1, 6)) for _ in "pq"]
+            a = [rng.choice(values[0]) for _ in range(n)]
+            b = [rng.choice(values[1]) for _ in range(n)]
+            assert nmi(a, b) == dense_nmi(a, b)
+
+    def test_memory_follows_node_count(self):
+        # a dense table indexed by label value would hold 10**6 + 1 rows
+        tracemalloc.start()
+        try:
+            value = nmi([0, 1, 10 ** 6], [0, 1, 1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == dense_nmi([0, 1, 2], [0, 1, 1])
+        assert peak < 2 ** 20
 
 
 class TestAssortativeCommunityCount:
