@@ -24,7 +24,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
-from .core import Graph, _json, _write_text, load_edge_list
+from .core import Graph, _count, _json, _write_text, load_edge_list
 from .generators import PpmSpec, SbmSpec, generate_ppm, generate_sbm
 from .metrics import assortativity_level, count_assortative_communities, nmi
 from .search import (OBJECTIVE_LIKELIHOOD, OBJECTIVE_MODULARITY, FitConfig,
@@ -46,9 +46,11 @@ MODEL_NAMES = ("dc-sbm", "ac-dc-sbm", "modularity")
 
 FEASIBILITY_TOL = 1e-6
 
+TOP_QUANTILE = 0.10  # sbm_summary.csv's top mean: each cell's best 10% of runs
+
 
 def model_fit_config(model: str, k: int, seed: int,
-                     mode: AssortativityMode | None = None) -> FitConfig:
+                     mode: AssortativityMode | str | None = None) -> FitConfig:
     """FitConfig for a named model.
 
     dc-sbm is the unconstrained likelihood search, ac-dc-sbm the constrained
@@ -95,25 +97,23 @@ class ExperimentPlan:
     avg_degree: float = 16.0
     ratios: list[float] = field(default_factory=lambda: list(DEFAULT_RATIOS))
     datasets: int = 10
-    diag_range: tuple[float, float] = (0.45, 0.55)
-    offdiag_range: tuple[float, float] = (0.0, 0.4)
-    quantile: float = 0.10
+    diag_range: tuple[float, float] = SbmSpec.diag_range
+    offdiag_range: tuple[float, float] = SbmSpec.offdiag_range
     workers: int = 1
 
     def __post_init__(self) -> None:
         if self.kind not in ("ppm-sweep", "sbm-ensemble", "real-network"):
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+        for name, low in (("runs", 1), ("n", 1), ("k", 1), ("datasets", 1),
+                          ("workers", 1), ("fit_seed", 0), ("instance_seed", 0)):
+            setattr(self, name, _count(name, getattr(self, name), low))
         if not self.models:
             raise ValueError("at least one model is required")
         for model in self.models:
             if model not in MODEL_NAMES:
                 raise ValueError(f"unknown model {model!r}")
-        if not 0 < self.quantile <= 1:
-            raise ValueError("quantile must lie in (0, 1]")
-        if self.datasets < 1 or not self.ratios:
-            raise ValueError("a plan needs datasets >= 1 and at least one ratio")
+        if not self.ratios:
+            raise ValueError("a plan needs at least one ratio")
         for key, values in (("models", self.models), ("ratios", self.ratios)):
             if len(set(values)) < len(values):
                 raise ValueError(f"{key} must list each entry once, got {values}")
@@ -153,11 +153,12 @@ def _fit_models(plan: ExperimentPlan, graph: Graph,
 def _records(results: list[FitResult], plan: ExperimentPlan, truth,
              **tags) -> list[dict]:
     """The run record of each restart: ``FitResult.to_dict()`` with its NMI
-    against ``truth``, its assortative-block count, its run index and tags."""
+    against ``truth``, its assortative-block count, its run index, the
+    plan's kind as ``experiment`` and tags."""
     return [{**result.to_dict(), "nmi": nmi(truth, result.partition),
              "assortative_count": count_assortative_communities(
                  result.omega, FEASIBILITY_TOL),
-             "run": result.seed - plan.fit_seed, **tags}
+             "run": result.seed - plan.fit_seed, "experiment": plan.kind, **tags}
             for result in results]
 
 
@@ -174,8 +175,7 @@ def run_ppm_sweep(plan: ExperimentPlan, out_dir=None) -> list[dict]:
                        ratio=ratio, seed=plan.instance_seed + idx)
         graph, truth = generate_ppm(spec)
         for model, results in _fit_models(plan, graph, plan.k):
-            records += _records(results, plan, truth, experiment="ppm-sweep",
-                                ratio=ratio, model=model,
+            records += _records(results, plan, truth, ratio=ratio, model=model,
                                 instance_seed=spec.seed)
     return _write_runs(out_dir, plan, records, "ppm_sweep.csv",
                        ["ratio", "model", "run", "nmi", "loglik"])
@@ -186,8 +186,8 @@ def run_sbm_ensemble(plan: ExperimentPlan, out_dir=None) -> list[dict]:
 
     Returns one row per (dataset, model, run) with keys (dataset, model,
     run, nmi, loglik, assortative_count).  When persisted, a summary CSV
-    with per-(dataset, model) medians and the top-quantile mean NMI is
-    written alongside the per-run rows.
+    with per-(dataset, model) medians and the mean NMI of the best
+    ``TOP_QUANTILE`` of runs is written alongside the per-run rows.
     """
     records: list[dict] = []
     summary: list[dict] = []
@@ -197,12 +197,11 @@ def run_sbm_ensemble(plan: ExperimentPlan, out_dir=None) -> list[dict]:
                        seed=plan.instance_seed + d)
         graph, truth, planted = generate_sbm(spec)
         for model, results in _fit_models(plan, graph, plan.k):
-            recs = _records(results, plan, truth, experiment="sbm-ensemble",
-                            dataset=d, model=model, instance_seed=spec.seed,
-                            planted_omega=planted.tolist())
+            recs = _records(results, plan, truth, dataset=d, model=model,
+                            instance_seed=spec.seed, planted_omega=planted.tolist())
             # results come best first, so the top quantile is a prefix
             scores = [r["nmi"] for r in recs]
-            top = scores[:max(1, math.ceil(plan.quantile * len(scores)))]
+            top = scores[:max(1, math.ceil(TOP_QUANTILE * len(scores)))]
             summary.append({"dataset": d, "model": model,
                             "median_nmi": float(np.median(scores)),
                             "mean_nmi": float(np.mean(scores)),

@@ -13,11 +13,8 @@ from .generators import (PpmSpec, SbmSpec, generate_ppm, generate_sbm,
                          ppm_rates, write_instance)
 from .metrics import nmi
 from .search import multi_start
-from .solver import AssortativityMode
 
 __all__ = ["main"]
-
-BENCH_KINDS = {"ppm": "ppm-sweep", "sbm": "sbm-ensemble", "real": "real-network"}
 
 
 def _cmd_generate_ppm(args) -> int:
@@ -54,8 +51,7 @@ def _cmd_generate_sbm(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    mode = AssortativityMode(args.mode) if args.mode else None
-    cfg = model_fit_config(args.model, args.k, args.seed, mode=mode)
+    cfg = model_fit_config(args.model, args.k, args.seed, mode=args.mode)
     graph = load_edge_list(args.graph, index_base=1 if args.one_based else 0)
     results = multi_start(graph, cfg, args.runs, workers=args.workers)
     best = results[0]
@@ -90,22 +86,20 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.experiment != "real" and (args.graph, args.k) != (None, None):
-        raise ValueError("--graph and --k apply to bench real only")
     plan = ExperimentPlan.from_json(args.plan)
+    if plan.kind != "real-network" and (args.graph, args.k) != (None, None):
+        raise ValueError("--graph and --k apply to real-network plans only")
     if args.workers is not None:
         plan.workers = args.workers
-    if plan.kind != BENCH_KINDS[args.experiment]:
-        raise ValueError(f"plan kind {plan.kind!r} does not match {args.experiment!r}")
     out = Path(args.out)
-    if args.experiment == "ppm":
+    if plan.kind == "ppm-sweep":
         rows = run_ppm_sweep(plan, out_dir=out)
         print(f"wrote {out / 'ppm_sweep.csv'} ({len(rows)} rows)")
-    elif args.experiment == "sbm":
+    elif plan.kind == "sbm-ensemble":
         rows = run_sbm_ensemble(plan, out_dir=out)
         print(f"wrote {out / 'sbm_ensemble.csv'} ({len(rows)} rows)")
     elif args.graph is None:
-        raise ValueError("bench real needs --graph")
+        raise ValueError("a real-network plan needs --graph")
     else:
         report = run_real(plan, args.graph, k=args.k, out_dir=out)
         for model, info in report["models"].items():
@@ -136,8 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--diag-range", default="0.45,0.55", metavar="LO,HI")
-    g.add_argument("--offdiag-range", default="0.0,0.4", metavar="LO,HI")
+    g.add_argument("--diag-range", default="%s,%s" % SbmSpec.diag_range, metavar="LO,HI")
+    g.add_argument("--offdiag-range", default="%s,%s" % SbmSpec.offdiag_range, metavar="LO,HI")
     g.add_argument("--out", required=True, help="output path prefix")
     g.set_defaults(func=_cmd_generate_sbm)
 
@@ -161,12 +155,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--truth", required=True)
     g.set_defaults(func=_cmd_eval)
 
-    g = sub.add_parser("bench", help="run a planned experiment")
-    g.add_argument("experiment", choices=list(BENCH_KINDS))
+    g = sub.add_parser("bench", help="run the experiment a plan describes")
     g.add_argument("--plan", required=True, help="plan JSON path")
     g.add_argument("--out", required=True, help="output directory")
-    g.add_argument("--graph", default=None, help="edge list (real only)")
-    g.add_argument("--k", type=int, default=None, help="block count (real only)")
+    g.add_argument("--graph", default=None, help="edge list (real-network only)")
+    g.add_argument("--k", type=int, default=None, help="block count (real-network only)")
     g.add_argument("--workers", type=int, default=None)
     g.set_defaults(func=_cmd_bench)
 

@@ -43,14 +43,14 @@ class EmptyBlockMoveError(ValueError):
     """A relocation would leave its source block empty."""
 
 
-def _count(name: str, value) -> int:
-    """``value`` as an int >= 1, else ValueError naming the field."""
+def _count(name: str, value, low: int = 1) -> int:
+    """``value`` as an int >= low, else ValueError naming the field."""
     try:
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
     return value
 
 

@@ -45,6 +45,7 @@ class PpmSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _count("seed", self.seed, 0)
         if _count("n", self.n) < _count("k", self.k):
             raise ValueError(f"need k <= n, got n={self.n}, k={self.k}")
         if not 0 <= self.ratio <= 1:
@@ -67,6 +68,7 @@ class SbmSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _count("seed", self.seed, 0)
         if _count("n", self.n) < _count("k", self.k):
             raise ValueError(f"need k <= n, got n={self.n}, k={self.k}")
         for lo, hi in (self.diag_range, self.offdiag_range):

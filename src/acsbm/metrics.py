@@ -16,6 +16,9 @@ __all__ = [
 
 def _labels(p) -> np.ndarray:
     a = np.asarray(getattr(p, "assign", p))
+    if a.dtype.kind in "uO" and any(isinstance(x, int) and not -2**63 <= x < 2**63
+                                    for x in a.ravel().tolist()):  # beyond int64
+        raise ValueError("labels must lie in int64's range [-2**63, 2**63)")
     if a.size and a.dtype.kind not in "biu":
         raise ValueError(f"labels must be integers, got dtype {a.dtype}")
     return a.astype(np.int64)

@@ -82,7 +82,7 @@ OBJECTIVE_MODULARITY = "modularity"
 class FitConfig:
     """Inputs of a single search run.
 
-    Each sweep visits the nodes in an order reshuffled from ``seed``.
+    Each sweep visits the nodes in an order reshuffled from ``seed`` (>= 0).
     objective "modularity" switches the search to the modularity score with
     the same relocation mechanics; it takes no assortativity mode, and the
     fixed block count is kept but blocks may become empty.
@@ -95,6 +95,7 @@ class FitConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", _count("k", self.k))
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0))
         if self.objective not in (OBJECTIVE_LIKELIHOOD, OBJECTIVE_MODULARITY):
             raise ValueError(f"unknown objective {self.objective!r}")
         object.__setattr__(self, "mode", AssortativityMode(self.mode))

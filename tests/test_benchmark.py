@@ -36,10 +36,12 @@ class TestPlan:
             ExperimentPlan(kind="ppm-sweep", models=[])
         with pytest.raises(ValueError):
             ExperimentPlan(kind="ppm-sweep", models=["mystery"])
-        with pytest.raises(ValueError):
-            ExperimentPlan(kind="ppm-sweep", quantile=0.0)
         with pytest.raises(ValueError, match="datasets"):
             ExperimentPlan(kind="sbm-ensemble", datasets=0)
+        # counts are integers >= 1 at construction, not where first used
+        for key, value in (("runs", 2.0), ("workers", 0), ("k", 0), ("n", 1.5)):
+            with pytest.raises(ValueError, match=f"^{key} must be "):
+                ExperimentPlan(kind="ppm-sweep", **{key: value})
         with pytest.raises(ValueError, match="ratio"):
             ExperimentPlan(kind="ppm-sweep", ratios=[])
         # a repeat would fit the same jobs again under the same CSV keys
@@ -124,6 +126,7 @@ class TestPpmSweep:
         payloads = [json.loads(line) for line in
                     (tmp_path / "runs.jsonl").read_text().splitlines()]
         assert len(payloads) == 12
+        assert {rec["experiment"] for rec in payloads} == {"ppm-sweep"}
         for rec in payloads:
             spec = PpmSpec(n=plan.n, k=plan.k, avg_degree=plan.avg_degree,
                            ratio=rec["ratio"], seed=rec["instance_seed"])
@@ -165,6 +168,7 @@ class TestSbmEnsemble:
         run_sbm_ensemble(plan, out_dir=tmp_path)
         for line in (tmp_path / "runs.jsonl").read_text().splitlines():
             rec = json.loads(line)
+            assert rec["experiment"] == "sbm-ensemble"
             spec = SbmSpec(n=plan.n, k=plan.k, diag_range=plan.diag_range,
                            offdiag_range=plan.offdiag_range,
                            seed=rec["instance_seed"])

@@ -122,6 +122,15 @@ class TestFit:
         assert err.startswith("error:") and "workers" in err
         assert "best" not in out
 
+    def test_negative_seed_fails(self, capsys, triangles_file):
+        # random.Random(-2) seeds like random.Random(2): runs from seed -2
+        # would repeat those from seed 2
+        rc = main(["fit", "--graph", str(triangles_file), "--k", "2",
+                   "--runs", "5", "--seed", "-2"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert err == "error: seed must be >= 0, got -2\n" and not out
+
     def test_result_json_deterministic(self, tmp_path, triangles_file):
         args = ["fit", "--graph", str(triangles_file), "--k", "2",
                 "--model", "ac-dc-sbm", "--runs", "3", "--seed", "4"]
@@ -143,7 +152,7 @@ class TestFit:
                            ("abs", str(tmp_path / "data" / "net.edges"))):
             assert main(["fit", "--graph", graph, "--k", "2", "--runs", "2",
                          "--out", f"fit_{tag}.json"]) == 0
-            assert main(["bench", "real", "--plan", "plan.json", "--graph", graph,
+            assert main(["bench", "--plan", "plan.json", "--graph", graph,
                          "--k", "2", "--out", f"real_{tag}"]) == 0
         for a, b in (("fit_rel.json", "fit_abs.json"),
                      ("real_rel/real_report.json", "real_abs/real_report.json")):
@@ -189,15 +198,22 @@ class TestEval:
 
 
 class TestBench:
-    def test_ppm_bench_runs(self, tmp_path, capsys):
-        plan = {"kind": "ppm-sweep", "models": ["dc-sbm"], "runs": 1,
-                "n": 20, "k": 2, "avg_degree": 5.0, "ratios": [0.1]}
+    @pytest.mark.parametrize("kind, table", [("ppm-sweep", "ppm_sweep.csv"),
+                                             ("sbm-ensemble", "sbm_ensemble.csv"),
+                                             ("real-network", "real_runs.csv")])
+    def test_ppm_bench_runs(self, tmp_path, capsys, triangles_file, kind, table):
+        # the plan alone picks the runner and so the table written
+        plan = {"kind": kind, "models": ["dc-sbm"], "runs": 1, "n": 20, "k": 2,
+                "avg_degree": 5.0, "ratios": [0.1], "datasets": 1}
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(plan))
-        rc = main(["bench", "ppm", "--plan", str(plan_path),
-                   "--out", str(tmp_path / "out")])
+        graph = ["--graph", str(triangles_file)] if kind == "real-network" else []
+        rc = main(["bench", "--plan", str(plan_path),
+                   "--out", str(tmp_path / "out")] + graph)
         assert rc == 0
-        assert (tmp_path / "out" / "ppm_sweep.csv").exists()
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert {"ppm_sweep.csv", "sbm_ensemble.csv", "real_runs.csv"} \
+            & set(manifest["artifacts"]) == {table}
 
     def test_workers_flag_overrides_plan(self, tmp_path):
         plan_path = tmp_path / "plan.json"
@@ -205,7 +221,7 @@ class TestBench:
             {"kind": "sbm-ensemble", "models": ["dc-sbm", "ac-dc-sbm"],
              "datasets": 2, "runs": 3, "n": 30, "k": 3, "workers": 1}))
         for workers in ("1", "2"):
-            assert main(["bench", "sbm", "--plan", str(plan_path), "--workers",
+            assert main(["bench", "--plan", str(plan_path), "--workers",
                          workers, "--out", str(tmp_path / workers)]) == 0
         for name in ("sbm_ensemble.csv", "sbm_summary.csv", "runs.jsonl"):
             assert (tmp_path / "1" / name).read_bytes() == \
@@ -213,17 +229,10 @@ class TestBench:
         manifest = json.loads((tmp_path / "2" / "manifest.json").read_text())
         assert manifest["plan"]["workers"] == 2
 
-    def test_kind_mismatch_fails(self, tmp_path, capsys):
-        plan_path = tmp_path / "plan.json"
-        plan_path.write_text(json.dumps({"kind": "sbm-ensemble"}))
-        rc = main(["bench", "ppm", "--plan", str(plan_path),
-                   "--out", str(tmp_path / "out")])
-        assert rc == 1
-
     def test_unknown_plan_key_fails_cleanly(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps({"kind": "ppm-sweep", "solver_tol": 1e-8}))
-        rc = main(["bench", "ppm", "--plan", str(plan_path),
+        rc = main(["bench", "--plan", str(plan_path),
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
@@ -236,7 +245,7 @@ class TestBench:
     def test_badly_typed_plan_fails_cleanly(self, tmp_path, capsys, plan, named):
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(plan))
-        rc = main(["bench", "ppm", "--plan", str(plan_path),
+        rc = main(["bench", "--plan", str(plan_path),
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
@@ -248,7 +257,7 @@ class TestBench:
         plan_path.write_text(json.dumps(
             {"kind": "sbm-ensemble", "n": 10, "k": 2, "datasets": 1,
              "diag_range": [0.4, math.inf]}))
-        rc = main(["bench", "sbm", "--plan", str(plan_path),
+        rc = main(["bench", "--plan", str(plan_path),
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
@@ -261,16 +270,16 @@ class TestBench:
                              [["--k", "5"], ["--graph", "/nonexistent.edges"]])
     def test_real_only_flags_rejected(self, tmp_path, capsys, experiment,
                                       kind, flags):
-        plan_path = tmp_path / "plan.json"
+        plan_path = tmp_path / f"{experiment}.json"  # named as in plans/
         plan_path.write_text(json.dumps(
             {"kind": kind, "models": ["dc-sbm"], "runs": 1, "n": 20, "k": 2,
              "datasets": 1}))
-        rc = main(["bench", experiment, "--plan", str(plan_path),
+        rc = main(["bench", "--plan", str(plan_path),
                    "--out", str(tmp_path / "out")] + flags)
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "real only" in err
+        assert "real-network plans only" in err
         assert not (tmp_path / "out").exists()
 
     def test_real_bench(self, tmp_path, capsys, triangle_pair):
@@ -279,7 +288,7 @@ class TestBench:
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(
             {"kind": "real-network", "models": ["ac-dc-sbm"], "runs": 3}))
-        rc = main(["bench", "real", "--plan", str(plan_path), "--graph",
+        rc = main(["bench", "--plan", str(plan_path), "--graph",
                    str(graph_path), "--k", "2", "--out", str(tmp_path / "out")])
         assert rc == 0
         report = json.loads((tmp_path / "out" / "real_report.json").read_text())
@@ -292,7 +301,7 @@ class TestBench:
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(
             {"kind": "real-network", "models": ["dc-sbm"], "runs": 1, "k": 2}))
-        rc = main(["bench", "real", "--plan", str(plan_path), "--graph",
+        rc = main(["bench", "--plan", str(plan_path), "--graph",
                    str(graph_path), "--k", "0", "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
@@ -303,7 +312,7 @@ class TestBench:
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(
             {"kind": "real-network", "models": ["dc-sbm"], "runs": 1}))
-        rc = main(["bench", "real", "--plan", str(plan_path),
+        rc = main(["bench", "--plan", str(plan_path),
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
@@ -322,7 +331,7 @@ def test_artifact_layout(tmp_path, triangles_file):
                   "--out", str(out / "fit.json")],
                  ["generate-sbm", "--n", "20", "--k", "2", "--out",
                   str(out / "inst")],
-                 ["bench", "real", "--plan", str(plan_path), "--graph",
+                 ["bench", "--plan", str(plan_path), "--graph",
                   str(triangles_file), "--k", "2", "--out", str(out / "real")]):
         assert main(argv) == 0
     paths = sorted(p for p in out.rglob("*") if p.is_file())

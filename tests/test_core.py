@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from acsbm import (EmptyBlockMoveError, FitConfig, Graph, GraphFormatError,
-                   Partition, PpmSpec, SbmSpec, apply_relocation, block_stats,
-                   generate_ppm, load_edge_list, multi_start, parse_edge_list,
-                   read_labels, write_edge_list, write_labels)
+from acsbm import (EmptyBlockMoveError, ExperimentPlan, FitConfig, Graph,
+                   GraphFormatError, Partition, PpmSpec, SbmSpec,
+                   apply_relocation, block_stats, generate_ppm, load_edge_list,
+                   multi_start, parse_edge_list, read_labels, write_edge_list,
+                   write_labels)
 from helpers import (dense_adjacency, legal_moves, numpy_m_t, random_graph,
                      random_partition)
 
@@ -103,20 +104,33 @@ def test_graph_rejects_invalid_input(n, edges):
 _EDGE = Graph(2, [(0, 1, 1)])
 
 
-@pytest.mark.parametrize("build, field", [
-    (lambda: Partition(2.0, [0, 1]), "k"),
-    (lambda: FitConfig(k=2.5), "k"),
-    (lambda: PpmSpec(n=10.5, k=2, avg_degree=3.0, ratio=0.5), "n"),
-    (lambda: PpmSpec(n=10, k=2.0, avg_degree=3.0, ratio=0.5), "k"),
-    (lambda: SbmSpec(n=10.0, k=2), "n"),
-    (lambda: SbmSpec(n=10, k=2.0), "k"),
-    (lambda: multi_start(_EDGE, FitConfig(k=1), runs=2.0), "runs"),
-    (lambda: multi_start(_EDGE, FitConfig(k=1), runs=2, workers=1.0), "workers"),
+@pytest.mark.parametrize("build, error", [
+    (lambda: Partition(2.0, [0, 1]), "k must be an integer"),
+    (lambda: FitConfig(k=2.5), "k must be an integer"),
+    (lambda: PpmSpec(n=10.5, k=2, avg_degree=3.0, ratio=0.5), "n must be an integer"),
+    (lambda: PpmSpec(n=10, k=2.0, avg_degree=3.0, ratio=0.5), "k must be an integer"),
+    (lambda: SbmSpec(n=10.0, k=2), "n must be an integer"),
+    (lambda: SbmSpec(n=10, k=2.0), "k must be an integer"),
+    (lambda: multi_start(_EDGE, FitConfig(k=1), runs=2.0), "runs must be an integer"),
+    (lambda: multi_start(_EDGE, FitConfig(k=1), runs=2, workers=1.0),
+     "workers must be an integer"),
+    # seeds are integers >= 0: random.Random(-s) seeds like random.Random(s)
+    (lambda: FitConfig(k=2, seed=1.5), "seed must be an integer"),
+    (lambda: FitConfig(k=2, seed=-2), "seed must be >= 0"),
+    (lambda: PpmSpec(n=10, k=2, avg_degree=3.0, ratio=0.5, seed=1.5),
+     "seed must be an integer"),
+    (lambda: SbmSpec(n=10, k=2, seed=-1), "seed must be >= 0"),
+    (lambda: ExperimentPlan(kind="ppm-sweep", fit_seed=-1), "fit_seed must be >= 0"),
+    (lambda: ExperimentPlan(kind="ppm-sweep", instance_seed=1.5),
+     "instance_seed must be an integer"),
 ], ids=["partition-k", "fitconfig-k", "ppm-n", "ppm-k", "sbm-n", "sbm-k",
-        "multi-start-runs", "multi-start-workers"])
-def test_counts_must_be_integers(build, field):
-    # each count is checked where it is given, not where it is first used
-    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        "multi-start-runs", "multi-start-workers", "fitconfig-seed-float",
+        "fitconfig-seed-negative", "ppm-seed-float", "sbm-seed-negative",
+        "plan-fit-seed-negative", "plan-instance-seed-float"])
+def test_counts_must_be_integers(build, error):
+    # each count and seed is checked where it is given, not where it is
+    # first used
+    with pytest.raises(ValueError, match=f"^{error}, got "):
         build()
 
 

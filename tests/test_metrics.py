@@ -63,6 +63,15 @@ class TestNmi:
         with pytest.raises(ValueError, match="labels must be integers"):
             nmi([0, 1, 1], labels)
 
+    @pytest.mark.parametrize("labels", [[0, 1, 10**20],
+                                        np.array([0, 1, 2**63 + 5], dtype=np.uint64)])
+    def test_labels_beyond_int64_rejected(self, labels):
+        # numpy holds 10**20 as an object and would cast 2**63 + 5 to a
+        # negative int64; both are named for what they are
+        for p, q in ((labels, [0, 1, 1]), ([0, 1, 1], labels)):
+            with pytest.raises(ValueError, match=r"int64's range \[-2\*\*63, 2\*\*63\)"):
+                nmi(p, q)
+
     def test_equals_dense_table_bit_for_bit(self):
         # labels drawn from a few values spread over [0, 60): most label
         # values up to the largest never occur, so the dense reference has
