@@ -69,17 +69,21 @@ def _mle_cells(stats: BlockStats):
     kappa = [float(v) for v in stats.kappa]
     diag, off, row_max = [], [], [(0, 0.0, 0.0)] * k
     for r, (m_row, kr) in enumerate(zip(stats.m_block, kappa)):
-        for s in range(r, k):
+        t = kr * kr / two_m
+        diag.append((m_row[r], t, m_row[r] / t if t > 0 else 0.0))
+        top = row_max[r]  # row r's largest so far, from the rows above
+        hi = top[2]
+        for s in range(r + 1, k):
             t = kr * kappa[s] / two_m
-            cell = (m_row[s], t, m_row[s] / t if t > 0 else 0.0)
-            if s == r:
-                diag.append(cell)
-                continue
+            m = m_row[s]
+            x = m / t if t > 0 else 0.0
+            cell = (m, t, x)
             off.append(cell)
-            if cell[2] > row_max[r][2]:
-                row_max[r] = cell
-            if cell[2] > row_max[s][2]:
+            if x > hi:
+                top, hi = cell, x
+            if x > row_max[s][2]:
                 row_max[s] = cell
+        row_max[r] = top
     return diag, off, row_max
 
 
@@ -110,13 +114,19 @@ def _loglik(diag, off) -> float:
     full matrix bit for bit, in any order of the cells.
     """
     terms = []
-    for x, cells in ((1.0, diag), (2.0, off)):
-        for mrs, trs, w in cells:
-            if mrs:
-                if w == 0.0:
-                    return -math.inf
-                terms.append(x * (mrs * math.log(w)))
-            terms.append(x * (-trs * w))
+    log = math.log
+    for mrs, trs, w in diag:
+        if mrs:
+            if w == 0.0:
+                return -math.inf
+            terms.append(mrs * log(w))
+        terms.append(-trs * w)
+    for mrs, trs, w in off:
+        if mrs:
+            if w == 0.0:
+                return -math.inf
+            terms.append(2.0 * (mrs * log(w)))
+        terms.append(2.0 * (-trs * w))
     return 0.5 * math.fsum(terms)
 
 

@@ -27,7 +27,9 @@ and largest other entry: ``is_feasible`` applies it to a given omega and
 candidate of the search and, when the test fails, bounds from below what
 the constraints cost, by the exact optimum of the two-cell problem of one
 violated pair; a candidate it does not rule out takes its value from
-``_OPTIMA`` on the same cells, with no omega built.
+``_OPTIMA`` on the same cells, with no omega built.  Being on every
+candidate's path, the strong screen and ``_strong_optimum`` read the cells
+in plain loops, one pass each, and on a tie keep the first cell found.
 ``lambda_profile_oracle`` solves strong mode by golden-section search over
 the threshold, to cross-check it.
 """
@@ -142,11 +144,22 @@ def _mle_gap(cells, mode: AssortativityMode) -> float | None:
     if mode is AssortativityMode.NONE:
         return None
     if mode is AssortativityMode.STRONG:
-        top = max(row_max, key=lambda cell: cell[2])
-        if min(d[2] for d in diag) >= top[2]:
+        # one pass each, a tie keeping the first cell found
+        top = row_max[0]
+        hi = top[2]
+        for cell in row_max:
+            if cell[2] > hi:
+                top, hi = cell, cell[2]
+        dmin = low_x = math.inf
+        for d in diag:
+            x = d[2]
+            if x < dmin:
+                dmin = x
+            if x < low_x and d[1]:
+                low, low_x = d, x
+        if dmin >= hi:
             return None
-        low = min((d for d in diag if d[1]), key=lambda d: d[2])
-        return _pair_gap(low, top) if low[2] < top[2] else 0.0
+        return _pair_gap(low, top) if low_x < hi else 0.0
     ends = [d[2] for d in diag], [top[2] for top in row_max]
     if _satisfied(*ends, mode):
         return None
@@ -190,28 +203,35 @@ def _strong_optimum(stats: BlockStats, cells):
     # For fixed lam, omega_qq = max(ratio_qq, lam), omega_rs = min(ratio_rs,
     # lam).  A block with zero degree sum carries no likelihood terms, so its
     # diagonal is free: the closed-form test leaves it out; it rides at lam.
+    # The profile g(lam) is concave with g'(lam) = A/lam - B, A and B summing
+    # the (m, T) of the entries clamped at lam: diagonals with ratio below
+    # lam (half weight) and edge-carrying off-diagonals with ratio above it
+    # (full weight: the symmetric sum counts them twice).  Walking the
+    # ratios upward, lam* = A/B on the first interval whose right end has
+    # g' <= 0.  Infeasibility among blocks with degree keeps some entry
+    # clamped: B > 0.  The events are (ratio, change of A, change of B)
+    # once lam passes ratio; A and B start with every off-diagonal clamped.
     diag, off, _ = cells
-    dmin = min(x for _, t, x in diag if t)
-    omax = max((x for _, _, x in off), default=dmin)
+    dmin = math.inf
+    events = []
+    for m, t, x in diag:
+        if t:
+            if x < dmin:
+                dmin = x
+            events.append((x, 0.5 * m, 0.5 * t))
+    omax = -math.inf if off else dmin
+    a = b = 0.0
+    for m, t, x in off:
+        if x > omax:
+            omax = x
+        if m > 0:
+            a += m
+            b += t
+            events.append((x, -m, -t))
     crossed = 0
     if dmin >= omax:
         lam = 0.5 * (dmin + omax)
     else:
-        # The profile g(lam) is concave with g'(lam) = A/lam - B, A and B
-        # summing the (m, T) of the entries clamped at lam: diagonals with
-        # ratio below lam (half weight) and edge-carrying off-diagonals with
-        # ratio above it (full weight: the symmetric sum counts them twice).
-        # Walking the ratios upward, lam* = A/B on the first interval whose
-        # right end has g' <= 0.  Infeasibility among blocks with degree
-        # keeps some entry clamped: B > 0.
-        a = b = 0.0
-        # (ratio, change of A, change of B) once lam passes ratio
-        events = [(x, 0.5 * m, 0.5 * t) for m, t, x in diag if t]
-        for m, t, x in off:
-            if m > 0:
-                a += m
-                b += t
-                events.append((x, -m, -t))
         events.sort()
         for rho, da, db in events:
             if a <= b * rho:
@@ -220,8 +240,8 @@ def _strong_optimum(stats: BlockStats, cells):
             b += db
             crossed += 1
         lam = a / b
-    at = ([(m, t, max(x, lam)) for m, t, x in diag],
-          [(m, t, min(x, lam)) for m, t, x in off])
+    at = ([(m, t, lam if lam > x else x) for m, t, x in diag],
+          [(m, t, lam if lam < x else x) for m, t, x in off])
     return lam, crossed, _loglik(*at), at
 
 

@@ -98,6 +98,25 @@ class TestDeltaRelocation:
             pytest.approx(-math.log(2), abs=1e-12)
 
 
+def test_draws_equal_random_shuffle_and_randrange():
+    # the start and the sweep order are the package's own draws on
+    # getrandbits; they must stay those of the stdlib's randrange and
+    # shuffle, three successive draws from one generator at a time, which
+    # must end in the same state
+    for seed in range(300):
+        for n in (0, 1, 2, 3, 34, 100, 1000):
+            ours, ref = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                x, y = list(range(n)), list(range(n))
+                search._shuffle(x, ours.getrandbits)
+                ref.shuffle(y)
+                assert x == y, (seed, n)
+                if n:
+                    assert search._below(ours.getrandbits, n) \
+                        == ref.randrange(n), (seed, n)
+            assert ours.getstate() == ref.getstate(), (seed, n)
+
+
 class TestFit:
     def test_triangle_pair_strong_reaches_global_optimum(self, triangle_pair):
         result = multi_start(
@@ -433,6 +452,31 @@ def fit_digest() -> str:
 
 def test_fits_bit_identical():
     assert fit_digest() == FIT_DIGEST
+
+
+# SHA-256 of the fits below, counters included, as produced before the
+# strong candidate path became plain loops and the sweep order an in-repo
+# draw: strong and weak fits at K = 5 and 6 walk longer event lists than
+# FIT_DIGEST's, and every model runs on one n = 300 PPM.
+WIDE_FIT_DIGEST = "7f66ce41e7f7de63029b8557a3377ef098eb58cec0d77bfcd608cc190d4e5ded"
+
+
+def wide_fit_digest() -> str:
+    sbm = generate_sbm(SbmSpec(n=60, k=6, seed=2000))[0]
+    ppm = generate_ppm(PpmSpec(n=300, k=4, avg_degree=16.0, ratio=0.3,
+                               seed=9000))[0]
+    fits = [(sbm, FitConfig(k=k, mode=mode, seed=seed))
+            for mode in ("strong", "weak") for k in (5, 6) for seed in (0, 1)]
+    fits += [(ppm, FitConfig(k=4, **kw)) for kw in (
+        {}, {"mode": "strong"}, {"mode": "weak"}, {"objective": "modularity"})]
+    digest = hashlib.sha256()
+    for g, cfg in fits:
+        digest.update(json.dumps(fit(g, cfg).to_dict(), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_wide_fits_bit_identical():
+    assert wide_fit_digest() == WIDE_FIT_DIGEST
 
 
 class TestModularityObjective:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -9,7 +10,8 @@ from acsbm import (AssortativityMode, BlockStats, OmegaSolution, Partition,
                    block_stats, is_feasible, lambda_profile_oracle,
                    log_likelihood, omega_mle, solve_constrained)
 from acsbm.likelihood import _mle_cells
-from acsbm.solver import _mle_gap, _on_null_plateau
+from acsbm.solver import (_mle_gap, _on_null_plateau, _pair_gap,
+                          _strong_optimum)
 from helpers import (numpy_log_likelihood, numpy_m_t, random_block_stats,
                      threshold_profile)
 
@@ -51,10 +53,12 @@ ZERO_DEGREE_STATS = [
 ]
 
 
-def with_zero_degree_block(st: BlockStats) -> BlockStats:
-    k = st.k + 1
-    return BlockStats(k, [row + [0] for row in st.m_block] + [[0] * k],
-                      st.kappa + [0], st.two_m)
+def with_zero_degree_block(st: BlockStats, q: int | None = None) -> BlockStats:
+    """st with a block of zero degree inserted at index q (default: last)."""
+    q = st.k if q is None else q
+    m = [row[:q] + [0] + row[q:] for row in st.m_block]
+    m.insert(q, [0] * (st.k + 1))
+    return BlockStats(st.k + 1, m, st.kappa[:q] + [0] + st.kappa[q:], st.two_m)
 
 
 def with_tie(st: BlockStats, c: int) -> BlockStats:
@@ -125,6 +129,47 @@ class TestMleCells:
                     for q, top in enumerate(row_max):
                         assert top[2] == np.delete(w[q], q).max(initial=0.0)
                         assert top in off or top == (0, 0.0, 0.0)
+
+
+# SHA-256 of the closed-form cells, both screens and the strong optimum on
+# the cases of ``pieces_digest``, as computed before these functions were
+# rewritten as plain loops: every value and every tie-break must stay.
+PIECES_DIGEST = "2996071ed9414f112a2e035c0244426b555dbe11db7641949fe4e6260eab772e"
+
+
+def pieces_digest() -> str:
+    """2,000 random stats at K = 1..6 (7 with a zero-degree block inserted
+    at a random index, in about a third of them); counts up to 2 or 3 make
+    ratios tie often."""
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        st = random_block_stats(rng, rng.randint(1, 6),
+                                hi=rng.choice([2, 3, 4, 8, 20]))
+        if rng.random() < 0.3:
+            st = with_zero_degree_block(st, rng.randint(0, st.k))
+        cells = _mle_cells(st)
+        out = (cells, _mle_gap(cells, AssortativityMode.STRONG),
+               _mle_gap(cells, AssortativityMode.WEAK),
+               _strong_optimum(st, cells))
+        digest.update(repr(out).encode())
+    return digest.hexdigest()
+
+
+class TestPieces:
+    def test_pieces_bit_identical(self):
+        assert pieces_digest() == PIECES_DIGEST
+
+    def test_gap_pools_the_first_top_cell_in_row_order(self):
+        # cells (0, 2) and (1, 2) tie for the top ratio 22/21 with different
+        # (m, T); the strong bound pools the lowest diagonal with the first
+        st = BlockStats(3, [[4, 2, 3], [2, 2, 2], [3, 2, 2]], [9, 6, 7], 22)
+        diag, off, row_max = _mle_cells(st)
+        first, second = off[1], off[2]
+        assert first[2] == second[2] and first[:2] != second[:2]
+        assert max(c[2] for c in off) == first[2]
+        gap = _mle_gap((diag, off, row_max), AssortativityMode.STRONG)
+        assert gap == _pair_gap(diag[2], first) != _pair_gap(diag[2], second)
 
 
 class TestIsFeasible:
