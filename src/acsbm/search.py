@@ -55,9 +55,11 @@ from __future__ import annotations
 import atexit
 import functools
 import math
+import multiprocessing
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
@@ -417,28 +419,49 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
     )
 
 
-def _fit_task(args) -> FitResult:
-    graph, cfg = args
-    return fit(graph, cfg)
-
-
 # The process pool of this process, as (workers, executor): created by the
 # first multi_start call with workers >= 2 and reused by the later ones.
 _pool: tuple[int, ProcessPoolExecutor] | None = None
+# The restart counter shared by _pool's workers, and the lock that serializes
+# the pooled calls: each resets the counter, then its tasks take from it.
+_pool_next_run = None
+_pool_lock = threading.Lock()
+# In a pool worker: that counter, set by the pool's initializer.
+_next_run = None
+
+
+def _set_counter(counter) -> None:
+    global _next_run
+    _next_run = counter
+
+
+def _fit_share(graph: Graph, cfg: FitConfig, runs: int) -> list[FitResult]:
+    """A pool worker's share of a call: it takes restart r from the counter,
+    fits seed cfg.seed + r, and goes on until all runs are taken."""
+    results = []
+    while True:
+        with _next_run.get_lock():
+            r = _next_run.value
+            _next_run.value = r + 1
+        if r >= runs:
+            return results
+        results.append(fit(graph, replace(cfg, seed=cfg.seed + r)))
 
 
 def _shutdown_pool() -> None:
-    global _pool
+    global _pool, _pool_next_run
     if _pool is not None:
         _, executor = _pool
-        _pool = None
+        _pool = _pool_next_run = None
         executor.shutdown()
 
 
 def _forget_pool() -> None:
-    """In a forked child the inherited pool belongs to the parent."""
-    global _pool
-    _pool = None
+    """In a forked child the inherited pool, and the lock of a thread that
+    may have held it, belong to the parent."""
+    global _pool, _pool_next_run, _pool_lock
+    _pool = _pool_next_run = None
+    _pool_lock = threading.Lock()
 
 
 atexit.register(_shutdown_pool)
@@ -447,10 +470,13 @@ os.register_at_fork(after_in_child=_forget_pool)
 
 def _executor(workers: int) -> ProcessPoolExecutor:
     """The pool of ``workers`` processes, replacing one of another size."""
-    global _pool
+    global _pool, _pool_next_run
     if _pool is None or _pool[0] != workers:
         _shutdown_pool()
-        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+        _pool_next_run = multiprocessing.Value("q", 0)
+        _pool = (workers, ProcessPoolExecutor(
+            max_workers=workers, initializer=_set_counter,
+            initargs=(_pool_next_run,)))
     return _pool[1]
 
 
@@ -467,23 +493,32 @@ def multi_start(graph: Graph, cfg: FitConfig, runs: int,
     same process count (a call with another count replaces it).  The pool
     forks all its workers when it starts, hence no more than runs.  They
     live until the interpreter exits and see this module's state as it was
-    then.  A pool whose worker died raises ``BrokenProcessPool`` once and
-    is replaced on the next call.  Being one per process, the pool is not
-    meant for calls from several threads at once.
+    then.  A call sends each worker one task holding the graph; the workers
+    take the restarts one at a time from a counter they share, so unequal
+    restarts even out, and each returns its fits as one list.  Pooled calls
+    from several threads run one after another.  A pool whose worker died
+    raises ``BrokenProcessPool`` once and is replaced on the next call.
     """
     runs = _count("runs", runs)
     workers = min(_count("workers", workers), runs)
-    cfgs = [replace(cfg, seed=cfg.seed + r) for r in range(runs)]
     if workers == 1:
-        results = [fit(graph, c) for c in cfgs]
+        results = [fit(graph, replace(cfg, seed=cfg.seed + r))
+                   for r in range(runs)]
     else:
-        pool = _executor(workers)
-        # ~4 chunks per worker: few round trips, yet unequal restarts even out
-        try:
-            results = list(pool.map(_fit_task, [(graph, c) for c in cfgs],
-                                    chunksize=math.ceil(runs / (4 * workers))))
-        except BrokenProcessPool:
-            _shutdown_pool()
-            raise
+        with _pool_lock:
+            pool = _executor(workers)
+            _pool_next_run.value = 0
+            try:
+                tasks = [pool.submit(_fit_share, graph, cfg, runs)
+                         for _ in range(workers)]
+                wait(tasks)
+            except BaseException:  # a task may still be taking restarts
+                _shutdown_pool()
+                raise
+            try:
+                results = [res for task in tasks for res in task.result()]
+            except BrokenProcessPool:
+                _shutdown_pool()
+                raise
     results.sort(key=lambda r: (-r.objective_value, r.seed))
     return results

@@ -6,6 +6,7 @@ import random
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
@@ -539,7 +540,7 @@ class TestMultiStart:
         rng = random.Random(89)
         g = random_graph(rng, 18, p=0.3)
         cfg = FitConfig(k=2, mode=AssortativityMode.STRONG, seed=7)
-        # 12 runs on 2 workers go out in chunks of 2 fits
+        # the 2 workers take the 12 restarts one at a time
         seq = multi_start(g, cfg, runs=12, workers=1)
         par = multi_start(g, cfg, runs=12, workers=2)
         for rs, rp in zip(seq, par):
@@ -646,6 +647,110 @@ class TestProcessPool:
         assert _as_dicts(par) == _as_dicts(multi_start(g, cfg, runs=2))
 
 
+class TestSharedCounter:
+    """The workers of a pooled call take every restart exactly once."""
+
+    @pytest.mark.parametrize("runs, workers",
+                             [(2, 2), (3, 2), (5, 3), (7, 3), (9, 2), (16, 4)])
+    def test_every_restart_once(self, fresh_pool, runs, workers):
+        g = random_graph(random.Random(109), 18, p=0.3)
+        cfg = FitConfig(k=3, mode=AssortativityMode.STRONG, seed=11)
+        assert _as_dicts(multi_start(g, cfg, runs, workers=workers)) == \
+            _as_dicts(multi_start(g, cfg, runs, workers=1))
+
+    def test_counter_restarts_at_each_call(self, fresh_pool):
+        g = random_graph(random.Random(110), 18, p=0.3)
+        cfg = FitConfig(k=3, seed=12)
+        multi_start(g, cfg, runs=2, workers=2)
+        _, executor = search._pool
+        for runs in (7, 4):
+            assert _as_dicts(multi_start(g, cfg, runs, workers=2)) == \
+                _as_dicts(multi_start(g, cfg, runs, workers=1))
+        assert search._pool[1] is executor
+
+    def test_threads_take_turns_on_one_pool(self, fresh_pool):
+        jobs = [(random_graph(random.Random(111 + i), 18, p=0.3),
+                 FitConfig(k=3, mode=AssortativityMode.STRONG, seed=20 * i),
+                 runs) for i, runs in enumerate((9, 6))]
+        multi_start(*jobs[0][:2], runs=2, workers=2)
+        _, executor = search._pool
+        barrier = threading.Barrier(len(jobs))
+        pooled = [None] * len(jobs)
+
+        def call(i):
+            barrier.wait()
+            pooled[i] = multi_start(*jobs[i], workers=2)
+
+        threads = [threading.Thread(target=call, args=(i,))
+                   for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for (g, cfg, runs), got in zip(jobs, pooled):
+            assert got is not None
+            assert _as_dicts(got) == _as_dicts(multi_start(g, cfg, runs))
+        assert search._pool[1] is executor
+
+
+def _run_script(script: str, fail_msg: str) -> None:
+    """Run a script in a new interpreter (tests/ on its path) that must exit
+    0 and print nothing to stderr within 60 s; a hang fails the test."""
+    paths = [Path(search.__file__).parent.parent, Path(__file__).parent]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
+    proc = subprocess.Popen(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+         "-c", script], env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(fail_msg)
+    assert proc.returncode == 0 and err == "", err
+
+
+@pytest.mark.parametrize("holding_lock", [False, True])
+def test_worker_killed_during_a_call(holding_lock):
+    # A worker SIGKILLs itself on seed 4, in its fit or while it holds the
+    # shared counter's lock, which the other worker then waits for.  The
+    # call must raise BrokenProcessPool and drop the pool, and the next call
+    # gets a new pool and the sequential results.
+    script = (
+        "import os, random, signal\n"
+        "from concurrent.futures.process import BrokenProcessPool\n"
+        "from acsbm import FitConfig, multi_start, search\n"
+        "from helpers import random_graph\n"
+        "g = random_graph(random.Random(113), 20, p=0.3)\n"
+        "cfg = FitConfig(k=3, mode='strong', seed=0)\n"
+        "fit = search.fit\n"
+        "def dying_fit(graph, c):\n"
+        "    if c.seed == 4:\n"
+        f"        if {holding_lock}:\n"
+        "            search._next_run.get_lock().acquire()\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return fit(graph, c)\n"
+        "search.fit = dying_fit\n"
+        "try:\n"
+        "    multi_start(g, cfg, runs=8, workers=2)\n"
+        "except BrokenProcessPool:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('the call did not raise')\n"
+        "assert search._pool is None\n"
+        "search.fit = fit\n"
+        "assert [r.to_dict() for r in multi_start(g, cfg, 8, workers=2)] == \\\n"
+        "    [r.to_dict() for r in multi_start(g, cfg, 8, workers=1)]\n")
+    _run_script(script, "multi_start hung on a dead worker")
+
+
 def test_no_worker_outlives_the_interpreter():
     script = (
         "import random\n"
@@ -701,16 +806,4 @@ def test_forked_child_starts_its_own_pool():
         "        os._exit(code)\n"
         "_, status = os.waitpid(pid, 0)\n"
         "sys.exit(os.waitstatus_to_exitcode(status))\n")
-    paths = [Path(search.__file__).parent.parent, Path(__file__).parent]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
-    proc = subprocess.Popen(
-        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
-         "-c", script], env=env, stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True, start_new_session=True)
-    try:
-        _, err = proc.communicate(timeout=60)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("the forked child's multi_start hung")
-    assert proc.returncode == 0 and err == "", err
+    _run_script(script, "the forked child's multi_start hung")
