@@ -1,14 +1,12 @@
 """Experiment orchestration: seeded sweeps and ensembles with CSV output.
 
 Instance seeds and fit seeds are drawn from separate counters so every
-model faces identical graphs.  The runners share one path to artifacts:
-``_fit_models`` multi-starts each model, ``_records`` builds each restart's
-run record once, and ``_write_runs`` sorts the records by (instance, model,
-run), projects the CSV rows from them and hands every file to ``_write``,
-which adds a manifest listing exactly the files written.  So a plan with
-the same seeds always produces byte-identical CSV and JSONL files,
-regardless of worker scheduling.  Statistics beyond the per-run rows
-(significance tests etc.) are left to downstream tools.
+model faces identical graphs.  Both synthetic runners share one instance
+loop, ``_run_synthetic``: it fits every model on each instance, builds each
+restart's run record and one summary row per (instance, model), and hands
+every file to ``_write``, which adds a manifest listing exactly the files
+written.  So a plan with the same seeds always produces byte-identical
+files, regardless of worker scheduling.
 """
 
 from __future__ import annotations
@@ -17,6 +15,7 @@ import csv
 import io
 import json
 import math
+import statistics
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -46,7 +45,7 @@ MODEL_NAMES = ("dc-sbm", "ac-dc-sbm", "modularity")
 
 FEASIBILITY_TOL = 1e-6
 
-TOP_QUANTILE = 0.10  # sbm_summary.csv's top mean: each cell's best 10% of runs
+TOP_QUANTILE = 0.10  # the summaries' top mean: each cell's best 10% of runs
 
 
 def model_fit_config(model: str, k: int, seed: int,
@@ -83,8 +82,9 @@ class ExperimentPlan:
     """Declarative description of one experiment.
 
     kind is "ppm-sweep", "sbm-ensemble" or "real-network".  fit seeds are
-    fit_seed .. fit_seed + runs - 1 for every (instance, model) pair;
-    instance d is generated with instance_seed + d.
+    fit_seed .. fit_seed + runs - 1 for every (instance, model) pair, and
+    instance d has seed instance_seed + d.  ppm-sweep fits one instance per
+    ratio (d in ascending ratio order) and does not read datasets.
     """
 
     kind: str
@@ -104,6 +104,11 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if self.kind not in ("ppm-sweep", "sbm-ensemble", "real-network"):
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        # floats however given, so that equal plans write equal bytes
+        self.avg_degree = float(self.avg_degree)
+        self.ratios = [float(r) for r in self.ratios]
+        self.diag_range, self.offdiag_range = (
+            tuple(map(float, r)) for r in (self.diag_range, self.offdiag_range))
         for name, low in (("runs", 1), ("n", 1), ("k", 1), ("datasets", 1),
                           ("workers", 1), ("fit_seed", 0), ("instance_seed", 0)):
             setattr(self, name, _count(name, getattr(self, name), low))
@@ -133,9 +138,6 @@ class ExperimentPlan:
             if f.name in data and not _json_fits(data[f.name], hints[f.name]):
                 raise ValueError(f"{path}: plan key {f.name!r} must be {f.type}, "
                                  f"got {json.dumps(data[f.name])}")
-        for key in ("diag_range", "offdiag_range"):
-            if key in data:
-                data[key] = tuple(data[key])
         return cls(**data)
 
     def to_dict(self) -> dict:
@@ -152,9 +154,8 @@ def _fit_models(plan: ExperimentPlan, graph: Graph,
 
 def _records(results: list[FitResult], plan: ExperimentPlan, truth,
              **tags) -> list[dict]:
-    """The run record of each restart: ``FitResult.to_dict()`` with its NMI
-    against ``truth``, its assortative-block count, its run index, the
-    plan's kind as ``experiment`` and tags."""
+    """Each restart's run record: its ``to_dict()``, NMI against ``truth``,
+    assortative-block count, run index, ``experiment`` (the kind) and tags."""
     return [{**result.to_dict(), "nmi": nmi(truth, result.partition),
              "assortative_count": count_assortative_communities(
                  result.omega, FEASIBILITY_TOL),
@@ -162,57 +163,73 @@ def _records(results: list[FitResult], plan: ExperimentPlan, truth,
             for result in results]
 
 
-def run_ppm_sweep(plan: ExperimentPlan, out_dir=None) -> list[dict]:
-    """Fit every model on one PPM instance per ratio.
+def _expect_kind(plan: ExperimentPlan, kind: str) -> None:
+    if plan.kind != kind:
+        raise ValueError(f"a {plan.kind!r} plan cannot run as a {kind!r} experiment")
 
-    Returns one row per (ratio, model, run) with keys
-    (ratio, model, run, nmi, loglik); optionally persists row CSV, per-run
-    JSONL records and a manifest under ``out_dir``.
-    """
-    records: list[dict] = []
-    for idx, ratio in enumerate(sorted(plan.ratios)):
-        spec = PpmSpec(n=plan.n, k=plan.k, avg_degree=plan.avg_degree,
-                       ratio=ratio, seed=plan.instance_seed + idx)
-        graph, truth = generate_ppm(spec)
+
+def _run_synthetic(plan: ExperimentPlan, out_dir, instances, fields: list[str],
+                   names: tuple[str, str]) -> list[dict]:
+    """Fit every model on each (tags, graph, truth) of ``instances``; return
+    the CSV rows (``loglik`` is ``log_likelihood``) sorted by (``fields[0]``,
+    model, run).  Under ``out_dir``, write them as ``names[0]``, the records
+    as ``runs.jsonl`` and, as ``names[1]``, one row per (instance, model) of
+    its median, mean and best-``TOP_QUANTILE`` mean NMI."""
+    key = fields[0]
+    records, summary = [], []
+    for tags, graph, truth in instances:
         for model, results in _fit_models(plan, graph, plan.k):
-            records += _records(results, plan, truth, ratio=ratio, model=model,
-                                instance_seed=spec.seed)
-    return _write_runs(out_dir, plan, records, "ppm_sweep.csv",
-                       ["ratio", "model", "run", "nmi", "loglik"])
-
-
-def run_sbm_ensemble(plan: ExperimentPlan, out_dir=None) -> list[dict]:
-    """Fit every model on a family of general-SBM instances.
-
-    Returns one row per (dataset, model, run) with keys (dataset, model,
-    run, nmi, loglik, assortative_count).  When persisted, a summary CSV
-    with per-(dataset, model) medians and the mean NMI of the best
-    ``TOP_QUANTILE`` of runs is written alongside the per-run rows.
-    """
-    records: list[dict] = []
-    summary: list[dict] = []
-    for d in range(plan.datasets):
-        spec = SbmSpec(n=plan.n, k=plan.k, diag_range=plan.diag_range,
-                       offdiag_range=plan.offdiag_range,
-                       seed=plan.instance_seed + d)
-        graph, truth, planted = generate_sbm(spec)
-        for model, results in _fit_models(plan, graph, plan.k):
-            recs = _records(results, plan, truth, dataset=d, model=model,
-                            instance_seed=spec.seed, planted_omega=planted.tolist())
+            recs = _records(results, plan, truth, model=model, **tags)
             # results come best first, so the top quantile is a prefix
             scores = [r["nmi"] for r in recs]
             top = scores[:max(1, math.ceil(TOP_QUANTILE * len(scores)))]
-            summary.append({"dataset": d, "model": model,
-                            "median_nmi": float(np.median(scores)),
+            summary.append({key: tags[key], "model": model,
+                            "median_nmi": statistics.median(scores),
                             "mean_nmi": float(np.mean(scores)),
                             "top_quantile_mean_nmi": float(np.mean(top))})
             records += recs
-    summary.sort(key=lambda r: (r["dataset"], r["model"]))
-    table = _csv(["dataset", "model", "median_nmi", "mean_nmi",
-                  "top_quantile_mean_nmi"], summary)
-    return _write_runs(out_dir, plan, records, "sbm_ensemble.csv",
-                       ["dataset", "model", "run", "nmi", "loglik",
-                        "assortative_count"], {"sbm_summary.csv": table})
+    records.sort(key=lambda r: (r[key], r["model"], r["run"]))
+    summary.sort(key=lambda r: (r[key], r["model"]))
+    rows = [{f: r["log_likelihood" if f == "loglik" else f] for f in fields}
+            for r in records]
+    if out_dir is not None:
+        _write(out_dir, plan, {
+            names[0]: _csv(fields, rows),
+            "runs.jsonl": "".join(json.dumps(r, sort_keys=True) + "\n"
+                                  for r in records),
+            names[1]: _csv(list(summary[0]), summary)})
+    return rows
+
+
+def run_ppm_sweep(plan: ExperimentPlan, out_dir=None) -> list[dict]:
+    """Fit every model on one PPM instance per ratio: rows (ratio, model,
+    run, nmi, loglik), persisted as ``ppm_sweep.csv`` and ``ppm_summary.csv``."""
+    _expect_kind(plan, "ppm-sweep")
+    specs = [PpmSpec(n=plan.n, k=plan.k, avg_degree=plan.avg_degree,
+                     ratio=ratio, seed=plan.instance_seed + idx)
+             for idx, ratio in enumerate(sorted(plan.ratios))]
+    instances = (({"ratio": s.ratio, "instance_seed": s.seed}, *generate_ppm(s))
+                 for s in specs)
+    return _run_synthetic(plan, out_dir, instances,
+                          ["ratio", "model", "run", "nmi", "loglik"],
+                          ("ppm_sweep.csv", "ppm_summary.csv"))
+
+
+def run_sbm_ensemble(plan: ExperimentPlan, out_dir=None) -> list[dict]:
+    """Fit every model on ``datasets`` general-SBM instances: rows (dataset,
+    model, run, nmi, loglik, assortative_count), persisted as
+    ``sbm_ensemble.csv`` and ``sbm_summary.csv``; each run record carries
+    its instance's planted block rates."""
+    _expect_kind(plan, "sbm-ensemble")
+    specs = [SbmSpec(n=plan.n, k=plan.k, diag_range=plan.diag_range,
+                     offdiag_range=plan.offdiag_range, seed=plan.instance_seed + d)
+             for d in range(plan.datasets)]
+    instances = (({"dataset": d, "instance_seed": s.seed, "planted_omega": p.tolist()},
+                  g, t) for d, s in enumerate(specs) for g, t, p in [generate_sbm(s)])
+    return _run_synthetic(plan, out_dir, instances,
+                          ["dataset", "model", "run", "nmi", "loglik",
+                           "assortative_count"],
+                          ("sbm_ensemble.csv", "sbm_summary.csv"))
 
 
 def run_real(plan: ExperimentPlan, graph_path, k: int | None = None,
@@ -225,6 +242,7 @@ def run_real(plan: ExperimentPlan, graph_path, k: int | None = None,
     assortativity level, and the block sizes.  No ground truth exists, so
     no per-run records (``runs.jsonl``) are written.
     """
+    _expect_kind(plan, "real-network")
     k = plan.k if k is None else k
     graph = load_edge_list(graph_path)
 
@@ -269,25 +287,6 @@ def _csv(fields: list[str], rows: list[dict]) -> str:
         writer.writerow([repr(float(row[f])) if isinstance(row[f], float)
                          else row[f] for f in fields])
     return buf.getvalue()
-
-
-def _write_runs(out_dir, plan: ExperimentPlan, records: list[dict],
-                csv_name: str, fields: list[str],
-                tables: dict[str, str] | None = None) -> list[dict]:
-    """Sort the run records by (instance, model, run) and return the CSV rows
-    projected from them (``loglik`` is ``log_likelihood``).  Under
-    ``out_dir``, write the CSV, the records as ``runs.jsonl`` and ``tables``.
-    """
-    records.sort(key=lambda r: (r[fields[0]], r["model"], r["run"]))
-    rows = [{f: r["log_likelihood" if f == "loglik" else f] for f in fields}
-            for r in records]
-    if out_dir is not None:
-        _write(out_dir, plan, {
-            csv_name: _csv(fields, rows),
-            "runs.jsonl": "".join(json.dumps(r, sort_keys=True) + "\n"
-                                  for r in records),
-            **(tables or {})})
-    return rows
 
 
 def _write(out_dir, plan: ExperimentPlan, files: dict[str, str]) -> None:

@@ -1,9 +1,14 @@
+import csv
+import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import acsbm.benchmark
 from acsbm import (AssortativityMode, ExperimentPlan, Partition, PpmSpec,
                    SbmSpec, block_stats, generate_ppm, generate_sbm,
                    log_likelihood, run_ppm_sweep, run_real, run_sbm_ensemble,
@@ -220,3 +225,151 @@ def test_manifest_lists_exactly_the_directory(tmp_path, kind):
                  graph_path=edges, out_dir=out)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["artifacts"] == sorted(p.name for p in out.iterdir())
+
+
+ROOT = Path(__file__).resolve().parent.parent
+KARATE = ROOT / "benchmarks" / "data" / "karate.edges"
+
+RUNNERS = {
+    "ppm-sweep": lambda plan, out: run_ppm_sweep(plan, out_dir=out),
+    "sbm-ensemble": lambda plan, out: run_sbm_ensemble(plan, out_dir=out),
+    "real-network": lambda plan, out: run_real(plan, KARATE, k=2, out_dir=out),
+}
+
+
+def record_fits(monkeypatch, note=lambda args: args) -> list:
+    """Patch the runners' multi_start so that each call first appends
+    ``note(args)`` to the returned list."""
+    notes = []
+    original = acsbm.benchmark.multi_start
+    monkeypatch.setattr(acsbm.benchmark, "multi_start",
+                        lambda *a, **kw: notes.append(note(a)) or original(*a, **kw))
+    return notes
+
+
+@pytest.mark.parametrize("runner, kind", [(r, k) for r in RUNNERS for k in RUNNERS
+                                          if k != r])
+def test_runner_rejects_a_plan_of_another_kind(tmp_path, monkeypatch, runner, kind):
+    fits = record_fits(monkeypatch)
+    plan = ExperimentPlan(kind=kind, runs=1, n=24, k=2, avg_degree=6.0,
+                          ratios=[0.3], datasets=1)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=re.escape(f"{kind!r} plan cannot run "
+                                                   f"as a {runner!r}")):
+        RUNNERS[runner](plan, out)
+    assert fits == [] and not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["ppm", "sbm"])
+def test_every_instance_spec_checked_before_the_first_fit(tmp_path, monkeypatch,
+                                                          kind):
+    fits = record_fits(monkeypatch)
+    out = tmp_path / "out"
+    if kind == "ppm":  # the last ratio is out of range
+        with pytest.raises(ValueError, match="ratio must lie in"):
+            run_ppm_sweep(tiny_ppm_plan(ratios=[0.1, 0.2, 1.5]), out_dir=out)
+    else:
+        with pytest.raises(ValueError, match="invalid rate range"):
+            run_sbm_ensemble(tiny_sbm_plan(diag_range=(0.5, 0.4)), out_dir=out)
+    assert fits == [] and not out.exists()
+
+
+def test_instances_generated_one_at_a_time(monkeypatch):
+    # each graph is drawn just before its models are fitted, so no more
+    # than one instance is held at a time
+    made = []
+    original = acsbm.benchmark.generate_ppm
+    monkeypatch.setattr(acsbm.benchmark, "generate_ppm",
+                        lambda spec: made.append(spec) or original(spec))
+    drawn_at_fit = record_fits(monkeypatch, lambda args: len(made))
+    run_ppm_sweep(tiny_ppm_plan(runs=1))
+    assert drawn_at_fit == [1, 1, 1, 2, 2, 2]  # 2 ratios x 3 models
+
+
+def test_integral_numbers_write_the_bytes_of_floats(tmp_path):
+    # a plan stores avg_degree, ratios and both ranges as floats, so 0 and
+    # 0.0 give the same CSV keys and the same manifest
+    base = tiny_ppm_plan(runs=1).to_dict()
+    for name, ratios, degree in (("int", [0, 1], 6), ("float", [0.0, 1.0], 6.0)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**base, "ratios": ratios, "avg_degree": degree}))
+        run_ppm_sweep(ExperimentPlan.from_json(path), out_dir=tmp_path / name)
+    names = sorted(p.name for p in (tmp_path / "int").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "float").iterdir())
+    for name in names:
+        assert (tmp_path / "int" / name).read_bytes() == \
+            (tmp_path / "float" / name).read_bytes(), name
+    plan = tiny_sbm_plan(diag_range=[1, 1], offdiag_range=(0, 1))
+    assert (plan.diag_range, plan.offdiag_range) == ((1.0, 1.0), (0.0, 1.0))
+    assert {type(x) for x in plan.diag_range + plan.offdiag_range} == {float}
+
+
+@pytest.mark.parametrize("kind", ["ppm", "sbm"])
+def test_summary_recomputed_from_runs(tmp_path, kind):
+    if kind == "ppm":
+        run_ppm_sweep(tiny_ppm_plan(runs=12), out_dir=tmp_path)
+        key = "ratio"
+    else:
+        run_sbm_ensemble(tiny_sbm_plan(runs=12, models=["dc-sbm", "ac-dc-sbm",
+                                                        "modularity"]),
+                         out_dir=tmp_path)
+        key = "dataset"
+    cells: dict = {}
+    for line in (tmp_path / "runs.jsonl").read_text().splitlines():
+        rec = json.loads(line)
+        cells.setdefault((rec[key], rec["model"]), []).append(rec)
+    with open(tmp_path / f"{kind}_summary.csv", newline="") as fh:
+        summary = list(csv.DictReader(fh))
+    assert [(json.loads(row[key]), row["model"]) for row in summary] == sorted(cells)
+    assert len(cells) == 2 * 3
+    for row in summary:
+        recs = cells[json.loads(row[key]), row["model"]]
+        recs.sort(key=lambda r: (-r["modularity" if r["objective"] == "modularity"
+                                   else "log_likelihood"], r["seed"]))
+        scores = [r["nmi"] for r in recs]
+        top = scores[:math.ceil(0.1 * len(scores))]  # 12 runs: the best 2
+        expected = {"median_nmi": float(np.median(scores)),
+                    "mean_nmi": sum(scores) / len(scores),
+                    "top_quantile_mean_nmi": sum(top) / len(top)}
+        for column, value in expected.items():
+            assert abs(float(row[column]) - value) <= 1e-12, (row, column)
+
+
+SMALL = dict(models=["dc-sbm", "ac-dc-sbm", "modularity"], runs=4, n=60, k=3)
+
+# SHA-256 of every artifact of three small plans at workers=1: the small
+# ppm and sbm plans of the CI workflow and plans/real.json on karate at K=2.
+PINNED = {
+    "ppm": {
+        "manifest.json": "79fc4e6a367160b252ac26c994befccf47cb245488dd19841ebf54b5ad1297dd",
+        "ppm_summary.csv": "9dbdbeb2841ae4d4ae2fd6db9d0ee396c8664069a4bef4de7fde0f7b3c7e149c",
+        "ppm_sweep.csv": "b3d4d7f5794d4472467643949151f32f63ae413961d28d4214cb3140a75a1799",
+        "runs.jsonl": "6de362bd57d6e77406d5b859d923428afb0f66b050ed7f33dcb308dd12cd7480",
+    },
+    "sbm": {
+        "manifest.json": "a05af22f126cf580f1ec283d8eaec8fb2563d225041f8a602add7693566afcb9",
+        "runs.jsonl": "c3a273537a7ffed2f27cb8e950c9f1f1ca206ac034057399d7b90bf10954532f",
+        "sbm_ensemble.csv": "0102c2ffcc954c384e0cf8e716ac9f6057f692e235b75c31670604e0fc55dc7a",
+        "sbm_summary.csv": "8127ee20eef4e7bc2e771e5f2cc89711561018ea5641a3e42cb66b722607109b",
+    },
+    "real": {
+        "manifest.json": "406e8ddbce97f4bbfd092f5b168e251f37817f4a5b281861b6f167a92bab8c02",
+        "real_report.json": "c06740103ee5d4033906ff7815de5d6a67901b9b320cfe6ae3b68a9b2f41d75d",
+        "real_runs.csv": "4e349974a3c1cca825bcf6dd2b00d006600e33b7594f8f162fda6534eed0f6bb",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", PINNED)
+def test_artifacts_pinned(tmp_path, kind):
+    if kind == "ppm":
+        run_ppm_sweep(ExperimentPlan(kind="ppm-sweep", ratios=[0.1, 0.5], **SMALL),
+                      out_dir=tmp_path)
+    elif kind == "sbm":
+        run_sbm_ensemble(ExperimentPlan(kind="sbm-ensemble", datasets=2, **SMALL),
+                         out_dir=tmp_path)
+    else:
+        plan = ExperimentPlan.from_json(ROOT / "plans" / "real.json")
+        run_real(plan, KARATE, k=2, out_dir=tmp_path)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()} == PINNED[kind]
