@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import statistics
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -68,13 +69,16 @@ def model_fit_config(model: str, k: int, seed: int,
                      if model == "modularity" else OBJECTIVE_LIKELIHOOD)
 
 
-def _json_fits(value, hint) -> bool:
-    """Whether a JSON value has the type hint of a plan field."""
+def _fits(value, hint) -> bool:
+    """Whether a value has the type hint of a plan field.  A list or a tuple
+    serves for either; numpy's scalars count as the numbers they hold, and
+    a boolean is not a number."""
     origin, args = get_origin(hint), get_args(hint)
     if origin in (list, tuple):  # list[T] of any length, tuple[T, T] of two
-        return isinstance(value, list) and all(_json_fits(v, args[0]) for v in value) \
+        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value) \
             and (origin is list or len(value) == len(args))
-    return type(value) in ((int, float) if hint is float else (hint,))
+    abstract = {float: numbers.Real, int: numbers.Integral}.get(hint, hint)
+    return isinstance(value, abstract) and not isinstance(value, bool)
 
 
 @dataclass
@@ -104,14 +108,17 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if self.kind not in ("ppm-sweep", "sbm-ensemble", "real-network"):
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        for name, low in (("runs", 1), ("n", 1), ("k", 1), ("datasets", 1),
+                          ("workers", 1), ("fit_seed", 0), ("instance_seed", 0)):
+            setattr(self, name, _count(name, getattr(self, name), low))
+        for f in fields(self):  # the checks of from_json, for plans built in code
+            if not _fits(value := getattr(self, f.name), _HINTS[f.name]):
+                raise ValueError(f"plan field {f.name!r} must be {f.type}, got {value!r}")
         # floats however given, so that equal plans write equal bytes
         self.avg_degree = float(self.avg_degree)
         self.ratios = [float(r) for r in self.ratios]
         self.diag_range, self.offdiag_range = (
             tuple(map(float, r)) for r in (self.diag_range, self.offdiag_range))
-        for name, low in (("runs", 1), ("n", 1), ("k", 1), ("datasets", 1),
-                          ("workers", 1), ("fit_seed", 0), ("instance_seed", 0)):
-            setattr(self, name, _count(name, getattr(self, name), low))
         if not self.models:
             raise ValueError("at least one model is required")
         for model in self.models:
@@ -130,18 +137,21 @@ class ExperimentPlan:
         if not isinstance(data, dict):
             raise ValueError(f"{path}: a plan is a JSON object, got {type(data).__name__}")
         data.pop("comment", None)
-        hints = get_type_hints(cls)
-        unknown = sorted(set(data) - set(hints))
+        unknown = sorted(set(data) - set(_HINTS))
         if unknown:
             raise ValueError(f"{path}: unknown plan keys {', '.join(unknown)}")
         for f in fields(cls):
-            if f.name in data and not _json_fits(data[f.name], hints[f.name]):
+            if f.name in data and not _fits(data[f.name], _HINTS[f.name]):
                 raise ValueError(f"{path}: plan key {f.name!r} must be {f.type}, "
                                  f"got {json.dumps(data[f.name])}")
         return cls(**data)
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+# resolved once, as get_type_hints evaluates every annotation at each call
+_HINTS = get_type_hints(ExperimentPlan)
 
 
 def _fit_models(plan: ExperimentPlan, graph: Graph,
@@ -192,16 +202,14 @@ def _run_synthetic(plan: ExperimentPlan, out_dir, instances, fields: list[str],
     summary.sort(key=lambda r: (r[key], r["model"]))
     rows = [{f: r["log_likelihood" if f == "loglik" else f] for f in fields}
             for r in records]
-    if out_dir is not None:
-        _write(out_dir, plan, {
-            names[0]: _csv(fields, rows),
-            "runs.jsonl": "".join(json.dumps(r, sort_keys=True) + "\n"
-                                  for r in records),
-            names[1]: _csv(list(summary[0]), summary)})
+    _write(out_dir, plan, {
+        names[0]: _csv(fields, rows),
+        "runs.jsonl": "".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
+        names[1]: _csv(list(summary[0]), summary)})
     return rows
 
 
-def run_ppm_sweep(plan: ExperimentPlan, out_dir=None) -> list[dict]:
+def run_ppm_sweep(plan: ExperimentPlan, out_dir) -> list[dict]:
     """Fit every model on one PPM instance per ratio: rows (ratio, model,
     run, nmi, loglik), persisted as ``ppm_sweep.csv`` and ``ppm_summary.csv``."""
     _expect_kind(plan, "ppm-sweep")
@@ -215,7 +223,7 @@ def run_ppm_sweep(plan: ExperimentPlan, out_dir=None) -> list[dict]:
                           ("ppm_sweep.csv", "ppm_summary.csv"))
 
 
-def run_sbm_ensemble(plan: ExperimentPlan, out_dir=None) -> list[dict]:
+def run_sbm_ensemble(plan: ExperimentPlan, out_dir) -> list[dict]:
     """Fit every model on ``datasets`` general-SBM instances: rows (dataset,
     model, run, nmi, loglik, assortative_count), persisted as
     ``sbm_ensemble.csv`` and ``sbm_summary.csv``; each run record carries
@@ -232,8 +240,8 @@ def run_sbm_ensemble(plan: ExperimentPlan, out_dir=None) -> list[dict]:
                           ("sbm_ensemble.csv", "sbm_summary.csv"))
 
 
-def run_real(plan: ExperimentPlan, graph_path, k: int | None = None,
-             out_dir=None) -> dict:
+def run_real(plan: ExperimentPlan, graph_path, k: int | None = None, *,
+             out_dir) -> dict:
     """Multi-start every model on the edge list at ``graph_path`` (0-based
     ids) and report the best fits.
 
@@ -271,11 +279,10 @@ def run_real(plan: ExperimentPlan, graph_path, k: int | None = None,
             "partition": list(best.partition.assign),
         }
     rows.sort(key=lambda r: (r["model"], r["run"]))
-    if out_dir is not None:
-        _write(out_dir, plan, {
-            "real_runs.csv": _csv(["model", "run", "loglik", "modularity",
-                                   "sweeps"], rows),
-            "real_report.json": _json(report)})
+    _write(out_dir, plan, {
+        "real_runs.csv": _csv(["model", "run", "loglik", "modularity", "sweeps"],
+                              rows),
+        "real_report.json": _json(report)})
     return report
 
 

@@ -46,6 +46,8 @@ class EmptyBlockMoveError(ValueError):
 def _count(name: str, value, low: int = 1) -> int:
     """``value`` as an int >= low, else ValueError naming the field."""
     try:
+        if isinstance(value, bool):  # an int, but never a count
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

@@ -136,8 +136,8 @@ def _mle_gap(cells, mode: AssortativityMode) -> float | None:
     then a zero-degree block's diagonal, which is free).  Weak mode takes
     the largest bound over violated rows, each diagonal against its row's
     largest entry.  The constraint test is ``_satisfied``'s, as for
-    ``is_feasible``: weak mode calls it on the cells' row ends, and strong
-    mode applies its rule (smallest diagonal against largest row end) to
+    ``is_feasible``: weak mode applies its row test to the cells' row ends,
+    and strong mode its rule (smallest diagonal against largest row end) to
     the cells directly.
     """
     diag, _, row_max = cells
@@ -160,11 +160,10 @@ def _mle_gap(cells, mode: AssortativityMode) -> float | None:
         if dmin >= hi:
             return None
         return _pair_gap(low, top) if low_x < hi else 0.0
-    ends = [d[2] for d in diag], [top[2] for top in row_max]
-    if _satisfied(*ends, mode):
+    rows = _assortative_rows([d[2] for d in diag], [top[2] for top in row_max], 0.0)
+    if all(rows):
         return None
-    return max(_pair_gap(d, top) for d, top, ok
-               in zip(diag, row_max, _assortative_rows(*ends, 0.0)) if not ok)
+    return max(_pair_gap(d, top) for d, top, ok in zip(diag, row_max, rows) if not ok)
 
 
 def solve_constrained(stats: BlockStats, mode: AssortativityMode) -> OmegaSolution:

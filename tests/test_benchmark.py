@@ -157,7 +157,7 @@ class TestSbmEnsemble:
     def test_single_run_single_dataset(self, tmp_path):
         plan = tiny_sbm_plan(runs=1, datasets=1,
                              models=["dc-sbm", "ac-dc-sbm", "modularity"])
-        rows = run_sbm_ensemble(plan)
+        rows = run_sbm_ensemble(plan, out_dir=tmp_path)
         assert len(rows) == 3
         assert {r["model"] for r in rows} == {"dc-sbm", "ac-dc-sbm", "modularity"}
 
@@ -274,7 +274,7 @@ def test_every_instance_spec_checked_before_the_first_fit(tmp_path, monkeypatch,
     assert fits == [] and not out.exists()
 
 
-def test_instances_generated_one_at_a_time(monkeypatch):
+def test_instances_generated_one_at_a_time(tmp_path, monkeypatch):
     # each graph is drawn just before its models are fitted, so no more
     # than one instance is held at a time
     made = []
@@ -282,7 +282,7 @@ def test_instances_generated_one_at_a_time(monkeypatch):
     monkeypatch.setattr(acsbm.benchmark, "generate_ppm",
                         lambda spec: made.append(spec) or original(spec))
     drawn_at_fit = record_fits(monkeypatch, lambda args: len(made))
-    run_ppm_sweep(tiny_ppm_plan(runs=1))
+    run_ppm_sweep(tiny_ppm_plan(runs=1), out_dir=tmp_path)
     assert drawn_at_fit == [1, 1, 1, 2, 2, 2]  # 2 ratios x 3 models
 
 
@@ -302,6 +302,32 @@ def test_integral_numbers_write_the_bytes_of_floats(tmp_path):
     plan = tiny_sbm_plan(diag_range=[1, 1], offdiag_range=(0, 1))
     assert (plan.diag_range, plan.offdiag_range) == ((1.0, 1.0), (0.0, 1.0))
     assert {type(x) for x in plan.diag_range + plan.offdiag_range} == {float}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("diag_range", [0.4, 0.5, 0.6]), ("offdiag_range", (0.1,)),
+    ("diag_range", 0.5), ("offdiag_range", "01"), ("diag_range", ["0.4", "0.5"]),
+    ("avg_degree", "8"), ("avg_degree", True), ("avg_degree", None),
+    ("ratios", ["0.5"]), ("ratios", [0.5, False]), ("ratios", 0.5),
+    ("models", "dc-sbm"),
+])
+def test_plan_built_in_code_gets_the_json_checks(key, value):
+    # unchecked, a 3-entry range fails only at unpacking inside the runner,
+    # and "8" or ["0.5"] are silently turned into floats
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        tiny_sbm_plan(**{key: value})
+
+
+def test_plan_takes_numpy_scalars_as_numbers():
+    # numpy's numeric scalars are accepted and stored as Python floats
+    plan = tiny_sbm_plan(avg_degree=np.int64(6), ratios=[np.float32(0.5)],
+                         diag_range=(np.float64(0.4), 1), offdiag_range=[0, 0.2])
+    assert plan == tiny_sbm_plan(avg_degree=6.0, ratios=[0.5],
+                                 diag_range=(0.4, 1.0), offdiag_range=(0.0, 0.2))
+    assert {type(x) for x in [plan.avg_degree, *plan.ratios, *plan.diag_range]} \
+        == {float}
+    with pytest.raises(ValueError, match="'avg_degree'"):
+        tiny_sbm_plan(avg_degree=np.bool_(True))
 
 
 @pytest.mark.parametrize("kind", ["ppm", "sbm"])

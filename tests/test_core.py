@@ -54,6 +54,10 @@ class TestParse:
         with pytest.raises(GraphFormatError, match="node id 5 out of range for n=2"):
             parse_edge_list("n 2\n0 5\n")
 
+    def test_index_base_must_be_0_or_1(self):
+        with pytest.raises(ValueError, match="^index_base must be 0 or 1, got 2$"):
+            parse_edge_list("0 1", index_base=2)
+
     @pytest.mark.parametrize("text, base, message", [
         ("0 1\n", 1, "negative node id"), ("-5 -3\n", 0, "negative node id"),
         ("0 1 -2\n", 0, "negative weight")])
@@ -131,6 +135,18 @@ def test_counts_must_be_integers(build, error):
     # each count and seed is checked where it is given, not where it is
     # first used
     with pytest.raises(ValueError, match=f"^{error}, got "):
+        build()
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: FitConfig(k=True), "k"),
+    (lambda: multi_start(_EDGE, FitConfig(k=1), runs=True), "runs"),
+    (lambda: ExperimentPlan(kind="ppm-sweep", runs=True), "runs"),
+    (lambda: ExperimentPlan(kind="sbm-ensemble", fit_seed=False), "fit_seed"),
+], ids=["fitconfig-k", "multi-start-runs", "plan-runs", "plan-fit-seed"])
+def test_booleans_are_not_counts(build, name):
+    # bool subclasses int, so operator.index alone would take True as 1
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got (True|False)$"):
         build()
 
 

@@ -32,6 +32,12 @@ class TestLogLikelihood:
         st = block_stats(triangle_pair, triangle_split)
         assert log_likelihood(st, [[0.0, 0.0], [0.0, 2.0]]) == -math.inf
 
+    def test_zero_off_diagonal_omega_with_edges_is_minus_inf(self):
+        # m_01 = 1 between the blocks, m_rr = 0 on the diagonal
+        st = block_stats(Graph(2, [(0, 1, 1)]), Partition(2, [0, 1]))
+        assert log_likelihood(st, [[1.0, 0.0], [0.0, 1.0]]) == -math.inf
+        assert log_likelihood(st, [[0.0, 1.0], [1.0, 0.0]]) > -math.inf
+
     def test_asymmetric_or_negative_rejected(self, triangle_pair, triangle_split):
         st = block_stats(triangle_pair, triangle_split)
         with pytest.raises(ValueError):
