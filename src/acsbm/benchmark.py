@@ -17,7 +17,7 @@ import json
 import math
 import numbers
 import statistics
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -40,7 +40,7 @@ __all__ = [
     "run_real",
 ]
 
-DEFAULT_RATIOS = [round(0.05 * i, 2) for i in range(1, 14)]  # 0.05 .. 0.65
+DEFAULT_RATIOS = tuple(round(0.05 * i, 2) for i in range(1, 14))  # 0.05 .. 0.65
 
 MODEL_NAMES = ("dc-sbm", "ac-dc-sbm", "modularity")
 
@@ -71,54 +71,56 @@ def model_fit_config(model: str, k: int, seed: int,
 
 def _fits(value, hint) -> bool:
     """Whether a value has the type hint of a plan field.  A list or a tuple
-    serves for either; numpy's scalars count as the numbers they hold, and
-    a boolean is not a number."""
+    serves for a tuple, numpy's scalars count as the numbers they hold, and
+    an int field takes any real number, booleans too, for ``_count`` to judge."""
     origin, args = get_origin(hint), get_args(hint)
-    if origin in (list, tuple):  # list[T] of any length, tuple[T, T] of two
+    if origin is tuple:  # tuple[T, ...] of any length, tuple[T, T] of two
         return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value) \
-            and (origin is list or len(value) == len(args))
-    abstract = {float: numbers.Real, int: numbers.Integral}.get(hint, hint)
-    return isinstance(value, abstract) and not isinstance(value, bool)
+            and (args[-1] is Ellipsis or len(value) == len(args))
+    abstract = numbers.Real if hint in (int, float) else hint
+    return isinstance(value, abstract) and (hint is int or not isinstance(value, bool))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentPlan:
     """Declarative description of one experiment.
 
     kind is "ppm-sweep", "sbm-ensemble" or "real-network".  fit seeds are
     fit_seed .. fit_seed + runs - 1 for every (instance, model) pair, and
     instance d has seed instance_seed + d.  ppm-sweep fits one instance per
-    ratio (d in ascending ratio order) and does not read datasets.
+    ratio (d in ascending ratio order) and does not read datasets.  A plan
+    is checked once, at construction, and cannot change after: derive a
+    variant with ``dataclasses.replace``, which checks it again.
     """
 
     kind: str
-    models: list[str] = field(default_factory=lambda: ["dc-sbm", "ac-dc-sbm"])
+    models: tuple[str, ...] = ("dc-sbm", "ac-dc-sbm")
     runs: int = 20
     fit_seed: int = 0
     instance_seed: int = 1000
     n: int = 100
     k: int = 4
     avg_degree: float = 16.0
-    ratios: list[float] = field(default_factory=lambda: list(DEFAULT_RATIOS))
+    ratios: tuple[float, ...] = DEFAULT_RATIOS
     datasets: int = 10
     diag_range: tuple[float, float] = SbmSpec.diag_range
     offdiag_range: tuple[float, float] = SbmSpec.offdiag_range
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in ("ppm-sweep", "sbm-ensemble", "real-network"):
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
-        for name, low in (("runs", 1), ("n", 1), ("k", 1), ("datasets", 1),
-                          ("workers", 1), ("fit_seed", 0), ("instance_seed", 0)):
-            setattr(self, name, _count(name, getattr(self, name), low))
-        for f in fields(self):  # the checks of from_json, for plans built in code
+        for f in fields(self):
             if not _fits(value := getattr(self, f.name), _HINTS[f.name]):
                 raise ValueError(f"plan field {f.name!r} must be {f.type}, got {value!r}")
-        # floats however given, so that equal plans write equal bytes
-        self.avg_degree = float(self.avg_degree)
-        self.ratios = [float(r) for r in self.ratios]
-        self.diag_range, self.offdiag_range = (
-            tuple(map(float, r)) for r in (self.diag_range, self.offdiag_range))
+        if self.kind not in ("ppm-sweep", "sbm-ensemble", "real-network"):
+            raise ValueError(f"unknown experiment kind {self.kind!r}")
+        # ints, floats and tuples however given, so equal plans write equal bytes
+        for name, low in (("runs", 1), ("n", 1), ("k", 1), ("datasets", 1),
+                          ("workers", 1), ("fit_seed", 0), ("instance_seed", 0)):
+            object.__setattr__(self, name, _count(name, getattr(self, name), low))
+        object.__setattr__(self, "avg_degree", float(self.avg_degree))
+        object.__setattr__(self, "models", tuple(self.models))
+        for name in ("ratios", "diag_range", "offdiag_range"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         if not self.models:
             raise ValueError("at least one model is required")
         for model in self.models:
@@ -128,7 +130,7 @@ class ExperimentPlan:
             raise ValueError("a plan needs at least one ratio")
         for key, values in (("models", self.models), ("ratios", self.ratios)):
             if len(set(values)) < len(values):
-                raise ValueError(f"{key} must list each entry once, got {values}")
+                raise ValueError(f"{key} must list each entry once, got {list(values)}")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentPlan":
@@ -140,11 +142,10 @@ class ExperimentPlan:
         unknown = sorted(set(data) - set(_HINTS))
         if unknown:
             raise ValueError(f"{path}: unknown plan keys {', '.join(unknown)}")
-        for f in fields(cls):
-            if f.name in data and not _fits(data[f.name], _HINTS[f.name]):
-                raise ValueError(f"{path}: plan key {f.name!r} must be {f.type}, "
-                                 f"got {json.dumps(data[f.name])}")
-        return cls(**data)
+        try:
+            return cls(**data)
+        except (TypeError, ValueError) as exc:  # TypeError: no kind
+            raise ValueError(f"{path}: {exc}") from None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -154,10 +155,10 @@ class ExperimentPlan:
 _HINTS = get_type_hints(ExperimentPlan)
 
 
-def _fit_models(plan: ExperimentPlan, graph: Graph,
-                k: int) -> list[tuple[str, list[FitResult]]]:
+def _fit_models(plan: ExperimentPlan,
+                graph: Graph) -> list[tuple[str, list[FitResult]]]:
     """Each model of the plan with its multi_start results, best first."""
-    return [(model, multi_start(graph, model_fit_config(model, k, plan.fit_seed),
+    return [(model, multi_start(graph, model_fit_config(model, plan.k, plan.fit_seed),
                                 plan.runs, workers=plan.workers))
             for model in plan.models]
 
@@ -188,7 +189,7 @@ def _run_synthetic(plan: ExperimentPlan, out_dir, instances, fields: list[str],
     key = fields[0]
     records, summary = [], []
     for tags, graph, truth in instances:
-        for model, results in _fit_models(plan, graph, plan.k):
+        for model, results in _fit_models(plan, graph):
             recs = _records(results, plan, truth, model=model, **tags)
             # results come best first, so the top quantile is a prefix
             scores = [r["nmi"] for r in recs]
@@ -243,7 +244,8 @@ def run_sbm_ensemble(plan: ExperimentPlan, out_dir) -> list[dict]:
 def run_real(plan: ExperimentPlan, graph_path, k: int | None = None, *,
              out_dir) -> dict:
     """Multi-start every model on the edge list at ``graph_path`` (0-based
-    ids) and report the best fits.
+    ids) and report the best fits.  ``k``, if given, replaces the plan's
+    k, so the manifest records the k that was fitted.
 
     The report carries, per model, the winning run's block parameters with
     their diagonal minimum / off-diagonal maximum, the achieved
@@ -251,13 +253,13 @@ def run_real(plan: ExperimentPlan, graph_path, k: int | None = None, *,
     no per-run records (``runs.jsonl``) are written.
     """
     _expect_kind(plan, "real-network")
-    k = plan.k if k is None else k
+    plan = replace(plan, k=plan.k if k is None else k)
     graph = load_edge_list(graph_path)
 
     report: dict = {"graph": Path(graph_path).name, "n": graph.n,
-                    "total_weight": graph.total_weight, "k": k, "models": {}}
+                    "total_weight": graph.total_weight, "k": plan.k, "models": {}}
     rows: list[dict] = []
-    for model, results in _fit_models(plan, graph, k):
+    for model, results in _fit_models(plan, graph):
         rows += [{"model": model, "run": r.seed - plan.fit_seed,
                   "loglik": r.log_likelihood, "modularity": r.modularity,
                   "sweeps": r.sweeps} for r in results]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .benchmark import (ExperimentPlan, MODEL_NAMES, model_fit_config,
@@ -22,8 +23,7 @@ def _cmd_generate_ppm(args) -> int:
                    ratio=args.ratio, seed=args.seed)
     graph, truth = generate_ppm(spec)
     p_in, p_out = ppm_rates(spec.n, spec.k, spec.avg_degree, spec.ratio)
-    meta = {"kind": "ppm", "avg_degree": spec.avg_degree, "ratio": spec.ratio,
-            "seed": spec.seed, "p_in": p_in, "p_out": p_out}
+    meta = {"kind": "ppm", **asdict(spec), "p_in": p_in, "p_out": p_out}
     paths = write_instance(args.out, graph, truth, meta)
     print(f"wrote {paths['edges']} ({graph.n} nodes, m={graph.total_weight})")
     return 0
@@ -41,10 +41,7 @@ def _cmd_generate_sbm(args) -> int:
                    diag_range=_parse_range(args.diag_range),
                    offdiag_range=_parse_range(args.offdiag_range))
     graph, truth, planted = generate_sbm(spec)
-    meta = {"kind": "sbm", "seed": spec.seed,
-            "diag_range": list(spec.diag_range),
-            "offdiag_range": list(spec.offdiag_range),
-            "planted_omega": planted.tolist()}
+    meta = {"kind": "sbm", **asdict(spec), "planted_omega": planted.tolist()}
     paths = write_instance(args.out, graph, truth, meta)
     print(f"wrote {paths['edges']} ({graph.n} nodes, m={graph.total_weight})")
     return 0
@@ -90,7 +87,7 @@ def _cmd_bench(args) -> int:
     if plan.kind != "real-network" and (args.graph, args.k) != (None, None):
         raise ValueError("--graph and --k apply to real-network plans only")
     if args.workers is not None:
-        plan.workers = args.workers
+        plan = replace(plan, workers=args.workers)
     out = Path(args.out)
     if plan.kind == "ppm-sweep":
         rows = run_ppm_sweep(plan, out_dir=out)

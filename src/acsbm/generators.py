@@ -172,11 +172,9 @@ def write_instance(prefix, graph: Graph, truth: Partition, meta: dict) -> dict:
         raise ValueError("the sampled graph has no edges")
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "edges": prefix.with_suffix(".edges"),
-        "labels": prefix.with_suffix(".labels"),
-        "meta": prefix.with_suffix(".json"),
-    }
+    # appended to the whole name, so a dotted prefix (r0.25) keeps its dot
+    paths = {"edges": Path(f"{prefix}.edges"), "labels": Path(f"{prefix}.labels"),
+             "meta": Path(f"{prefix}.json")}
     write_edge_list(graph, paths["edges"])
     write_labels(truth.assign, paths["labels"])
     sidecar = dict(meta)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -330,6 +331,61 @@ def test_plan_takes_numpy_scalars_as_numbers():
         tiny_sbm_plan(avg_degree=np.bool_(True))
 
 
+def test_plan_is_frozen():
+    # an assignment would skip every check, and its value would reach the
+    # manifest unnormalised (avg_degree 6 for 6.0)
+    plan = tiny_sbm_plan()
+    for f in dataclasses.fields(plan):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(plan, f.name, getattr(plan, f.name))
+    assert plan == tiny_sbm_plan() and hash(plan) == hash(tiny_sbm_plan())
+
+
+def test_replace_checks_and_normalises_again():
+    plan = tiny_ppm_plan()
+    with pytest.raises(ValueError, match="^workers must be >= 1, got 0$"):
+        dataclasses.replace(plan, workers=0)
+    with pytest.raises(ValueError, match="'ratios'"):
+        dataclasses.replace(plan, ratios=["0.5"])
+    varied = dataclasses.replace(plan, avg_degree=6, ratios=[0, 1], k=np.int64(3))
+    assert (varied.avg_degree, varied.ratios, varied.k) == (6.0, (0.0, 1.0), 3)
+    assert {type(x) for x in (varied.avg_degree, *varied.ratios)} == {float}
+    assert type(varied.k) is int and type(varied.models) is tuple
+    assert plan.to_dict() == tiny_ppm_plan().to_dict()
+
+
+def test_json_errors_name_the_key_and_the_file(tmp_path):
+    plan = tiny_ppm_plan(workers=2).to_dict()
+    path = tmp_path / "plan.json"
+    for key in plan:
+        path.write_text(json.dumps({**plan, key: {}}))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{key!r}"):
+            ExperimentPlan.from_json(path)
+    # checks of values, and a missing kind, name the file as well
+    for data, error in (({**plan, "runs": 0}, "runs must be >= 1, got 0"),
+                        ({**plan, "models": []}, "at least one model"),
+                        ({"runs": 2}, "kind")):
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{error}"):
+            ExperimentPlan.from_json(path)
+
+
+def test_real_manifest_records_the_k_fitted(tmp_path):
+    # the shipped plan has k 4; a k argument of 2 must reach the manifest
+    plan = dataclasses.replace(ExperimentPlan.from_json(ROOT / "plans" / "real.json"),
+                               runs=2)
+    assert plan.k == 4
+    for k in (None, 2, 4):
+        out = tmp_path / str(k)
+        report = run_real(plan, KARATE, k=k, out_dir=out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        expected = plan.k if k is None else k
+        assert report["k"] == manifest["plan"]["k"] == expected
+        assert all(len(info["omega"]) == expected for info in report["models"].values())
+    for name in ("real_runs.csv", "real_report.json", "manifest.json"):
+        assert (tmp_path / "None" / name).read_bytes() == (tmp_path / "4" / name).read_bytes()
+
+
 @pytest.mark.parametrize("kind", ["ppm", "sbm"])
 def test_summary_recomputed_from_runs(tmp_path, kind):
     if kind == "ppm":
@@ -379,7 +435,7 @@ PINNED = {
         "sbm_summary.csv": "8127ee20eef4e7bc2e771e5f2cc89711561018ea5641a3e42cb66b722607109b",
     },
     "real": {
-        "manifest.json": "406e8ddbce97f4bbfd092f5b168e251f37817f4a5b281861b6f167a92bab8c02",
+        "manifest.json": "a11ccd4a50124ab850c083ba7fe58f77cc04db903109df6fe63a53c6b5819cd9",
         "real_report.json": "c06740103ee5d4033906ff7815de5d6a67901b9b320cfe6ae3b68a9b2f41d75d",
         "real_runs.csv": "4e349974a3c1cca825bcf6dd2b00d006600e33b7594f8f162fda6534eed0f6bb",
     },

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +35,19 @@ class TestGenerate:
         assert rc == 0
         meta = json.loads(out.with_suffix(".json").read_text())
         assert len(meta["planted_omega"]) == 3
+
+    def test_dotted_prefix_kept_whole(self, tmp_path, capsys):
+        # r0.25 and r0.30 would both have become r0.edges, .labels, .json
+        for ratio in ("0.25", "0.30"):
+            assert main(["generate-ppm", "--n", "40", "--k", "2", "--avg-degree",
+                         "6", "--ratio", ratio, "--seed", "3",
+                         "--out", str(tmp_path / "runs" / f"r{ratio}")]) == 0
+        assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == [
+            f"r{ratio}.{ext}" for ratio in ("0.25", "0.30")
+            for ext in ("edges", "json", "labels")]
+        meta = json.loads((tmp_path / "runs" / "r0.30.json").read_text())
+        assert meta["ratio"] == 0.3
+        assert f"wrote {tmp_path / 'runs' / 'r0.30.edges'} " in capsys.readouterr().out
 
     def test_bad_ratio_fails(self, tmp_path, capsys):
         rc = main(["generate-ppm", "--n", "40", "--k", "2", "--avg-degree", "6",
@@ -228,6 +242,27 @@ class TestBench:
                 (tmp_path / "2" / name).read_bytes()
         manifest = json.loads((tmp_path / "2" / "manifest.json").read_text())
         assert manifest["plan"]["workers"] == 2
+
+    def test_zero_workers_fail_like_a_plan_value(self, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(
+            {"kind": "ppm-sweep", "models": ["dc-sbm"], "runs": 1, "n": 20,
+             "k": 2, "ratios": [0.1]}))
+        rc = main(["bench", "--plan", str(plan_path), "--workers", "0",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: workers must be >= 1, got 0\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_k_flag_recorded_in_manifest_and_report(self, tmp_path, triangles_file):
+        # the shipped plan has k 4; the manifest records the k that ran
+        plan = Path(__file__).resolve().parent.parent / "plans" / "real.json"
+        assert json.loads(plan.read_text())["k"] == 4
+        assert main(["bench", "--plan", str(plan), "--graph", str(triangles_file),
+                     "--k", "2", "--out", str(tmp_path / "out")]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        report = json.loads((tmp_path / "out" / "real_report.json").read_text())
+        assert manifest["plan"]["k"] == report["k"] == 2
 
     def test_unknown_plan_key_fails_cleanly(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"

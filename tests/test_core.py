@@ -97,6 +97,16 @@ class TestParse:
             assert sum(g.degree) == 2 * g.total_weight
 
 
+def test_equal_graphs_hash_equal():
+    # canonical edges: order, orientation and a pair split in two do not count
+    g = Graph(4, [(0, 1, 2), (1, 2, 1), (3, 3, 1)])
+    same = Graph(4, [(3, 3, 1), (1, 0, 1), (2, 1, 1), (0, 1, 1)])
+    assert same == g and hash(same) == hash(g)
+    assert {g: "first", same: "second"} == {g: "second"}
+    assert Graph(4, [(0, 1, 1)]) != g and Graph(5, g.edges) != g
+    assert repr(g) == "Graph(n=4, edges=3, m=4)"
+
+
 @pytest.mark.parametrize("n, edges", [
     (-1, []), (3, [(0, 1.5, 1)]), (3, [(0, 1, "2")]), (3, [(-1, 0, 1)]),
     (3, [(0, 3, 1)]), (3, [(0, 1, -1)]), (2.5, [])])
