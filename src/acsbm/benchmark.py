@@ -17,7 +17,7 @@ import json
 import math
 import numbers
 import statistics
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -47,6 +47,13 @@ MODEL_NAMES = ("dc-sbm", "ac-dc-sbm", "modularity")
 FEASIBILITY_TOL = 1e-6
 
 TOP_QUANTILE = 0.10  # the summaries' top mean: each cell's best 10% of runs
+
+# The fields each kind reads and its manifest records; a plan leaves the rest default.
+_COMMON = ("kind", "models", "runs", "fit_seed", "k", "workers")
+KIND_FIELDS = {"ppm-sweep": (*_COMMON, "instance_seed", "n", "avg_degree", "ratios"),
+               "sbm-ensemble": (*_COMMON, "instance_seed", "n", "datasets",
+                                "diag_range", "offdiag_range"),
+               "real-network": _COMMON}
 
 
 def model_fit_config(model: str, k: int, seed: int,
@@ -85,10 +92,10 @@ def _fits(value, hint) -> bool:
 class ExperimentPlan:
     """Declarative description of one experiment.
 
-    kind is "ppm-sweep", "sbm-ensemble" or "real-network".  fit seeds are
-    fit_seed .. fit_seed + runs - 1 for every (instance, model) pair, and
-    instance d has seed instance_seed + d.  ppm-sweep fits one instance per
-    ratio (d in ascending ratio order) and does not read datasets.  A plan
+    ``KIND_FIELDS[kind]`` names the fields a kind reads; setting another
+    away from its default is an error.  fit seeds are fit_seed .. fit_seed
+    + runs - 1 for every (instance, model) pair, and instance d has seed
+    instance_seed + d (ppm-sweep: one instance per ratio, ascending).  A plan
     is checked once, at construction, and cannot change after: derive a
     variant with ``dataclasses.replace``, which checks it again.
     """
@@ -111,16 +118,18 @@ class ExperimentPlan:
         for f in fields(self):
             if not _fits(value := getattr(self, f.name), _HINTS[f.name]):
                 raise ValueError(f"plan field {f.name!r} must be {f.type}, got {value!r}")
-        if self.kind not in ("ppm-sweep", "sbm-ensemble", "real-network"):
+        if self.kind not in KIND_FIELDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        # ints, floats and tuples however given, so equal plans write equal bytes
+        # ints, floats (x + 0.0: -0.0 as 0.0) and tuples however given, so
+        # equal plans write equal bytes
         for name, low in (("runs", 1), ("n", 1), ("k", 1), ("datasets", 1),
                           ("workers", 1), ("fit_seed", 0), ("instance_seed", 0)):
             object.__setattr__(self, name, _count(name, getattr(self, name), low))
-        object.__setattr__(self, "avg_degree", float(self.avg_degree))
+        object.__setattr__(self, "avg_degree", float(self.avg_degree) + 0.0)
         object.__setattr__(self, "models", tuple(self.models))
         for name in ("ratios", "diag_range", "offdiag_range"):
-            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+            object.__setattr__(self, name, tuple(float(x) + 0.0
+                                                 for x in getattr(self, name)))
         if not self.models:
             raise ValueError("at least one model is required")
         for model in self.models:
@@ -131,24 +140,27 @@ class ExperimentPlan:
         for key, values in (("models", self.models), ("ratios", self.ratios)):
             if len(set(values)) < len(values):
                 raise ValueError(f"{key} must list each entry once, got {list(values)}")
+        for f in fields(self):
+            if f.name not in KIND_FIELDS[self.kind] and getattr(self, f.name) != f.default:
+                raise ValueError(f"a {self.kind!r} plan does not read {f.name!r}")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentPlan":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: a plan is a JSON object, got {type(data).__name__}")
-        data.pop("comment", None)
-        unknown = sorted(set(data) - set(_HINTS))
-        if unknown:
-            raise ValueError(f"{path}: unknown plan keys {', '.join(unknown)}")
         try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)  # UnicodeDecodeError, JSONDecodeError
+            if not isinstance(data, dict):
+                raise ValueError(f"a plan is a JSON object, got {type(data).__name__}")
+            data.pop("comment", None)
+            unknown = sorted(set(data) - set(_HINTS))
+            if unknown:
+                raise ValueError(f"unknown plan keys {', '.join(unknown)}")
             return cls(**data)
         except (TypeError, ValueError) as exc:  # TypeError: no kind
             raise ValueError(f"{path}: {exc}") from None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in KIND_FIELDS[self.kind]}
 
 
 # resolved once, as get_type_hints evaluates every annotation at each call

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 
 import numpy as np
 
-from acsbm import BlockStats, Graph, Partition, log_likelihood, omega_mle
+from acsbm import (AssortativityMode, BlockStats, FitResult, Graph, Partition,
+                   is_feasible, log_likelihood, omega_mle, solve_constrained)
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.4,
@@ -131,3 +134,88 @@ def numpy_log_likelihood(stats: BlockStats, omega) -> float:
     log_part = np.zeros_like(w)
     log_part[pos] = m[pos] * np.log(w[pos])
     return 0.5 * float(np.sum(log_part) - np.sum(t * w))
+
+
+def assert_weak_optimum(stats: BlockStats, omega) -> None:
+    """Certify omega as the weak optimum for ``stats``.
+
+    The weak optimum is the isotonic regression of the ratios m/T with
+    weights T (half on the diagonal).  With res = w (ratio - omega) it is
+    certified by feasibility, sum(res) = 0, sum(res * omega) = 0 and no
+    upper set (diagonals S, with any off-diagonals inside S) of positive sum.
+    """
+    omega = np.asarray(omega, dtype=float)
+    assert is_feasible(omega, AssortativityMode.WEAK, 0.0)
+    m, t = numpy_m_t(stats)
+    half = np.where(np.eye(stats.k, dtype=bool), 0.5, 1.0)
+    res = np.triu(half * (m - t * omega))
+    tol = 1e-12 * m.sum()
+    assert abs(res.sum()) <= tol
+    assert abs((res * omega).sum()) <= tol
+    active = [q for q in range(stats.k) if stats.kappa[q]]
+    for size in range(1, len(active) + 1):
+        for blocks in itertools.combinations(active, size):
+            gain = sum(res[q, q] for q in blocks) + sum(
+                max(0.0, res[r, s]) for r, s in itertools.combinations(blocks, 2))
+            assert gain <= tol, (stats, blocks)
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def numpy_strong_optimum(stats: BlockStats) -> float:
+    """The strong optimum's log-likelihood: the largest
+    ``numpy_log_likelihood`` of the closed form m/T (0 where T = 0) with
+    its off-diagonals capped and its diagonal floored at lam, found by a
+    golden-section search over lam in [0, max ratio + 1] to a bracket of
+    1e-10 (the value is concave in lam)."""
+    m, t = numpy_m_t(stats)
+    ratio = np.divide(m, t, out=np.zeros_like(m), where=t > 0)
+
+    def value(lam: float) -> float:
+        w = np.minimum(ratio, lam)
+        np.fill_diagonal(w, np.maximum(np.diag(ratio), lam))
+        return numpy_log_likelihood(stats, w)
+
+    lo, hi = 0.0, float(ratio.max()) + 1.0
+    c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+    fc, fd = value(c), value(d)
+    while hi - lo > 1e-10:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INVPHI * (hi - lo)
+            fc = value(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INVPHI * (hi - lo)
+            fd = value(d)
+    return max(fc, fd)
+
+
+def move_gains(graph: Graph, result: FitResult) -> tuple[float, np.ndarray]:
+    """The constrained log-likelihood of ``result``'s final partition in its
+    mode (strong or weak), and the gain over it of each of its
+    ``legal_moves``, scored without the search's code: block counts from
+    the dense adjacency, strong mode by ``numpy_strong_optimum``, weak mode
+    by ``solve_constrained`` once ``assert_weak_optimum`` certifies it."""
+    a, k = dense_adjacency(graph), result.partition.k
+
+    def score(assign) -> float:
+        onehot = np.eye(k, dtype=np.int64)[assign]
+        m = onehot.T @ a @ onehot
+        kappa = m.sum(axis=1)
+        stats = BlockStats(k, m.tolist(), kappa.tolist(), int(kappa.sum()))
+        if result.mode is AssortativityMode.STRONG:
+            return numpy_strong_optimum(stats)
+        omega = solve_constrained(stats, AssortativityMode.WEAK).omega
+        assert_weak_optimum(stats, omega)
+        return numpy_log_likelihood(stats, omega)
+
+    assign = list(result.partition.assign)
+    base = score(assign)
+    gains = []
+    for i, b in legal_moves(result.partition):
+        moved = assign[:]
+        moved[i] = b
+        gains.append(score(moved) - base)
+    return base, np.array(gains)

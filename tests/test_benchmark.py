@@ -14,7 +14,7 @@ from acsbm import (AssortativityMode, ExperimentPlan, Partition, PpmSpec,
                    SbmSpec, block_stats, generate_ppm, generate_sbm,
                    log_likelihood, run_ppm_sweep, run_real, run_sbm_ensemble,
                    write_instance)
-from acsbm.benchmark import model_fit_config
+from acsbm.benchmark import KIND_FIELDS, model_fit_config
 
 
 def tiny_ppm_plan(**overrides):
@@ -30,6 +30,12 @@ def tiny_sbm_plan(**overrides):
                 runs=3, fit_seed=0, instance_seed=60, n=24, k=2, datasets=2)
     base.update(overrides)
     return ExperimentPlan(**base)
+
+
+def tiny_plans(**overrides) -> list[ExperimentPlan]:
+    """One small plan of each kind."""
+    return [tiny_ppm_plan(**overrides), tiny_sbm_plan(**overrides),
+            ExperimentPlan(kind="real-network", runs=2, k=2, **overrides)]
 
 
 class TestPlan:
@@ -64,16 +70,17 @@ class TestPlan:
         assert loaded == plan
 
     def test_every_field_type_checked(self, tmp_path):
-        # every field holds a value of its own type (none is left None) and
-        # loads; a JSON object is the wrong type for each of them
-        plan = tiny_ppm_plan(workers=2)
+        # in a plan of each kind, every field holds a value of its own type
+        # (none is left None) and loads; a JSON object is the wrong type for
+        # each of them
         path = tmp_path / "plan.json"
-        path.write_text(json.dumps(plan.to_dict()))
-        assert ExperimentPlan.from_json(path) == plan
-        for key in plan.to_dict():
-            path.write_text(json.dumps({**plan.to_dict(), key: {}}))
-            with pytest.raises(ValueError, match=re.escape(repr(key))):
-                ExperimentPlan.from_json(path)
+        for plan in tiny_plans(workers=2):
+            path.write_text(json.dumps(plan.to_dict()))
+            assert ExperimentPlan.from_json(path) == plan
+            for key in plan.to_dict():
+                path.write_text(json.dumps({**plan.to_dict(), key: {}}))
+                with pytest.raises(ValueError, match=re.escape(repr(key))):
+                    ExperimentPlan.from_json(path)
 
     def test_shipped_plans_parse(self):
         plans_dir = Path(__file__).resolve().parent.parent / "plans"
@@ -252,8 +259,9 @@ def record_fits(monkeypatch, note=lambda args: args) -> list:
                                           if k != r])
 def test_runner_rejects_a_plan_of_another_kind(tmp_path, monkeypatch, runner, kind):
     fits = record_fits(monkeypatch)
-    plan = ExperimentPlan(kind=kind, runs=1, n=24, k=2, avg_degree=6.0,
-                          ratios=[0.3], datasets=1)
+    plan = ExperimentPlan(kind=kind, runs=1, k=2, **{
+        "ppm-sweep": dict(n=24, avg_degree=6.0, ratios=[0.3]),
+        "sbm-ensemble": dict(n=24, datasets=1), "real-network": {}}[kind])
     out = tmp_path / "out"
     with pytest.raises(ValueError, match=re.escape(f"{kind!r} plan cannot run "
                                                    f"as a {runner!r}")):
@@ -288,21 +296,24 @@ def test_instances_generated_one_at_a_time(tmp_path, monkeypatch):
 
 
 def test_integral_numbers_write_the_bytes_of_floats(tmp_path):
-    # a plan stores avg_degree, ratios and both ranges as floats, so 0 and
-    # 0.0 give the same CSV keys and the same manifest
+    # a plan stores avg_degree, ratios and both ranges as floats, and -0.0
+    # as 0.0, so 0, -0.0 and 0.0 give the same CSV keys and the same manifest
     base = tiny_ppm_plan(runs=1).to_dict()
-    for name, ratios, degree in (("int", [0, 1], 6), ("float", [0.0, 1.0], 6.0)):
+    for name, ratios, degree in (("int", [0, 1], 6), ("float", [0.0, 1.0], 6.0),
+                                 ("negative-zero", [-0.0, 1.0], 6.0)):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({**base, "ratios": ratios, "avg_degree": degree}))
         run_ppm_sweep(ExperimentPlan.from_json(path), out_dir=tmp_path / name)
-    names = sorted(p.name for p in (tmp_path / "int").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "float").iterdir())
-    for name in names:
-        assert (tmp_path / "int" / name).read_bytes() == \
-            (tmp_path / "float" / name).read_bytes(), name
-    plan = tiny_sbm_plan(diag_range=[1, 1], offdiag_range=(0, 1))
+    names = sorted(p.name for p in (tmp_path / "float").iterdir())
+    for other in ("int", "negative-zero"):
+        assert names == sorted(p.name for p in (tmp_path / other).iterdir())
+        for name in names:
+            assert (tmp_path / other / name).read_bytes() == \
+                (tmp_path / "float" / name).read_bytes(), (other, name)
+    plan = tiny_sbm_plan(diag_range=[1, 1], offdiag_range=(-0.0, 1))
     assert (plan.diag_range, plan.offdiag_range) == ((1.0, 1.0), (0.0, 1.0))
     assert {type(x) for x in plan.diag_range + plan.offdiag_range} == {float}
+    assert repr(plan.offdiag_range) == "(0.0, 1.0)"
 
 
 @pytest.mark.parametrize("key, value", [
@@ -321,14 +332,14 @@ def test_plan_built_in_code_gets_the_json_checks(key, value):
 
 def test_plan_takes_numpy_scalars_as_numbers():
     # numpy's numeric scalars are accepted and stored as Python floats
-    plan = tiny_sbm_plan(avg_degree=np.int64(6), ratios=[np.float32(0.5)],
-                         diag_range=(np.float64(0.4), 1), offdiag_range=[0, 0.2])
-    assert plan == tiny_sbm_plan(avg_degree=6.0, ratios=[0.5],
-                                 diag_range=(0.4, 1.0), offdiag_range=(0.0, 0.2))
-    assert {type(x) for x in [plan.avg_degree, *plan.ratios, *plan.diag_range]} \
+    plan = tiny_ppm_plan(avg_degree=np.int64(6), ratios=[np.float32(0.5)])
+    assert plan == tiny_ppm_plan(avg_degree=6.0, ratios=[0.5])
+    sbm = tiny_sbm_plan(diag_range=(np.float64(0.4), 1), offdiag_range=[0, 0.2])
+    assert sbm == tiny_sbm_plan(diag_range=(0.4, 1.0), offdiag_range=(0.0, 0.2))
+    assert {type(x) for x in [plan.avg_degree, *plan.ratios, *sbm.diag_range]} \
         == {float}
     with pytest.raises(ValueError, match="'avg_degree'"):
-        tiny_sbm_plan(avg_degree=np.bool_(True))
+        tiny_ppm_plan(avg_degree=np.bool_(True))
 
 
 def test_plan_is_frozen():
@@ -355,17 +366,21 @@ def test_replace_checks_and_normalises_again():
 
 
 def test_json_errors_name_the_key_and_the_file(tmp_path):
-    plan = tiny_ppm_plan(workers=2).to_dict()
     path = tmp_path / "plan.json"
-    for key in plan:
-        path.write_text(json.dumps({**plan, key: {}}))
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{key!r}"):
-            ExperimentPlan.from_json(path)
-    # checks of values, and a missing kind, name the file as well
-    for data, error in (({**plan, "runs": 0}, "runs must be >= 1, got 0"),
-                        ({**plan, "models": []}, "at least one model"),
-                        ({"runs": 2}, "kind")):
-        path.write_text(json.dumps(data))
+    for plan in tiny_plans(workers=2):
+        for key in plan.to_dict():
+            path.write_text(json.dumps({**plan.to_dict(), key: {}}))
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{key!r}"):
+                ExperimentPlan.from_json(path)
+    plan = tiny_ppm_plan(workers=2).to_dict()
+    # checks of values, a missing kind, and a file that is not JSON or not
+    # UTF-8 name the file as well
+    for text, error in ((json.dumps({**plan, "runs": 0}), "runs must be >= 1, got 0"),
+                        (json.dumps({**plan, "models": []}), "at least one model"),
+                        (json.dumps({"runs": 2}), "kind"),
+                        ('{"kind": "ppm-sweep",}', "Expecting property name"),
+                        (b"\xff\xfe", "'utf-8' codec can't decode")):
+        path.write_bytes(text.encode() if isinstance(text, str) else text)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{error}"):
             ExperimentPlan.from_json(path)
 
@@ -384,6 +399,46 @@ def test_real_manifest_records_the_k_fitted(tmp_path):
         assert all(len(info["omega"]) == expected for info in report["models"].values())
     for name in ("real_runs.csv", "real_report.json", "manifest.json"):
         assert (tmp_path / "None" / name).read_bytes() == (tmp_path / "4" / name).read_bytes()
+
+
+# a value away from the default for each field that some kind does not read
+AWAY = dict(instance_seed=7, n=24, avg_degree=6.0, ratios=[0.3], datasets=2,
+            diag_range=[0.4, 0.6], offdiag_range=[0.0, 0.3])
+DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentPlan)}
+
+
+@pytest.mark.parametrize("kind", KIND_FIELDS)
+def test_a_plan_sets_only_the_fields_its_kind_reads(tmp_path, kind):
+    # built in code, read from JSON or derived by replace, a plan that sets
+    # a field its kind ignores fails, naming the kind and the field
+    reads = set(KIND_FIELDS[kind])
+    assert set(AWAY) | reads == set(DEFAULTS)
+    plan = ExperimentPlan(kind=kind, runs=2, k=2,
+                          **{name: AWAY[name] for name in reads & set(AWAY)})
+    assert set(plan.to_dict()) == reads
+    path = tmp_path / "plan.json"
+    for name in sorted(set(AWAY) - reads):
+        error = re.escape(f"a {kind!r} plan does not read {name!r}")
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            ExperimentPlan(kind=kind, runs=2, k=2, **{name: AWAY[name]})
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            dataclasses.replace(plan, **{name: AWAY[name]})
+        path.write_text(json.dumps({**plan.to_dict(), name: AWAY[name]}))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {error}$"):
+            ExperimentPlan.from_json(path)
+        # left at its default, the field is no setting: the plan is the same
+        assert dataclasses.replace(plan, **{name: DEFAULTS[name]}) == plan
+
+
+def test_real_manifest_records_only_the_common_fields(tmp_path):
+    # a real network has no n, instances, ratios or rate ranges to record
+    plan = dataclasses.replace(ExperimentPlan.from_json(ROOT / "plans" / "real.json"),
+                               runs=1)
+    run_real(plan, KARATE, k=2, out_dir=tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["plan"] == {"kind": "real-network", "runs": 1, "fit_seed": 0,
+                                "k": 2, "workers": 1,
+                                "models": ["dc-sbm", "ac-dc-sbm", "modularity"]}
 
 
 @pytest.mark.parametrize("kind", ["ppm", "sbm"])
@@ -423,19 +478,19 @@ SMALL = dict(models=["dc-sbm", "ac-dc-sbm", "modularity"], runs=4, n=60, k=3)
 # ppm and sbm plans of the CI workflow and plans/real.json on karate at K=2.
 PINNED = {
     "ppm": {
-        "manifest.json": "79fc4e6a367160b252ac26c994befccf47cb245488dd19841ebf54b5ad1297dd",
+        "manifest.json": "bc58b9f147fc0ad46cee6aa85596158db4433a98751f80d58b4efca9b0027be4",
         "ppm_summary.csv": "9dbdbeb2841ae4d4ae2fd6db9d0ee396c8664069a4bef4de7fde0f7b3c7e149c",
         "ppm_sweep.csv": "b3d4d7f5794d4472467643949151f32f63ae413961d28d4214cb3140a75a1799",
         "runs.jsonl": "6de362bd57d6e77406d5b859d923428afb0f66b050ed7f33dcb308dd12cd7480",
     },
     "sbm": {
-        "manifest.json": "a05af22f126cf580f1ec283d8eaec8fb2563d225041f8a602add7693566afcb9",
+        "manifest.json": "f7896502f9ff046fb42be59113d9085646434c6ed91dc90501446fa0ffd25133",
         "runs.jsonl": "c3a273537a7ffed2f27cb8e950c9f1f1ca206ac034057399d7b90bf10954532f",
         "sbm_ensemble.csv": "0102c2ffcc954c384e0cf8e716ac9f6057f692e235b75c31670604e0fc55dc7a",
         "sbm_summary.csv": "8127ee20eef4e7bc2e771e5f2cc89711561018ea5641a3e42cb66b722607109b",
     },
     "real": {
-        "manifest.json": "a11ccd4a50124ab850c083ba7fe58f77cc04db903109df6fe63a53c6b5819cd9",
+        "manifest.json": "78011af3c5ec395e0b5df06f784a9b46968e4a0e9d9034333e9f02c69ac0b35e",
         "real_report.json": "c06740103ee5d4033906ff7815de5d6a67901b9b320cfe6ae3b68a9b2f41d75d",
         "real_runs.csv": "4e349974a3c1cca825bcf6dd2b00d006600e33b7594f8f162fda6534eed0f6bb",
     },

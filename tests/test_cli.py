@@ -217,8 +217,9 @@ class TestBench:
                                              ("real-network", "real_runs.csv")])
     def test_ppm_bench_runs(self, tmp_path, capsys, triangles_file, kind, table):
         # the plan alone picks the runner and so the table written
-        plan = {"kind": kind, "models": ["dc-sbm"], "runs": 1, "n": 20, "k": 2,
-                "avg_degree": 5.0, "ratios": [0.1], "datasets": 1}
+        plan = {"kind": kind, "models": ["dc-sbm"], "runs": 1, "k": 2, **{
+            "ppm-sweep": {"n": 20, "avg_degree": 5.0, "ratios": [0.1]},
+            "sbm-ensemble": {"n": 20, "datasets": 1}, "real-network": {}}[kind]}
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(plan))
         graph = ["--graph", str(triangles_file)] if kind == "real-network" else []
@@ -308,7 +309,7 @@ class TestBench:
         plan_path = tmp_path / f"{experiment}.json"  # named as in plans/
         plan_path.write_text(json.dumps(
             {"kind": kind, "models": ["dc-sbm"], "runs": 1, "n": 20, "k": 2,
-             "datasets": 1}))
+             **({"datasets": 1} if kind == "sbm-ensemble" else {})}))
         rc = main(["bench", "--plan", str(plan_path),
                    "--out", str(tmp_path / "out")] + flags)
         assert rc == 1

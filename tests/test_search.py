@@ -23,7 +23,7 @@ from acsbm import (AssortativityMode, EmptyBlockMoveError, FitConfig,
                    profile_offset, search, solve_constrained)
 from acsbm.likelihood import _mle_cells
 from acsbm.solver import _mle_gap, _on_null_plateau
-from helpers import legal_moves, random_graph, random_partition
+from helpers import legal_moves, move_gains, random_graph, random_partition
 
 TRIANGLE_OPT = 6 * math.log(2) - 6
 DATA = Path(__file__).resolve().parent.parent / "benchmarks" / "data"
@@ -423,6 +423,24 @@ def test_a_fit_calls_solve_constrained_once(monkeypatch):
                 r = fit(g, FitConfig(k=k, mode=mode, seed=seed))
                 assert r.constrained_solves > 0, (k, mode, seed)
                 assert calls == [mode], (k, mode, seed)
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+def test_constrained_fit_ends_at_local_optimum(mode):
+    # no single-node move from the final partition of a constrained fit
+    # raises its likelihood, scored by move_gains with none of the search's
+    # code (so not by the two-cell bound that lets the search skip solves)
+    graphs = [generate_ppm(PpmSpec(n=100, k=4, avg_degree=16.0, ratio=0.25,
+                                   seed=1200))[0]]
+    graphs += [generate_sbm(SbmSpec(n=100, k=4, seed=seed))[0]
+               for seed in (2000, 2001)]
+    for g in graphs:
+        for seed in (0, 1):
+            r = fit(g, FitConfig(k=4, mode=mode, seed=seed))
+            score, gains = move_gains(g, r)
+            assert abs(score - r.log_likelihood) <= 1e-9 * abs(score)
+            assert len(gains) == 3 * g.n
+            assert gains.max() <= 1e-9 * abs(score), (seed, gains.max())
 
 
 # SHA-256 of the fits below, without the two counters, as produced before
