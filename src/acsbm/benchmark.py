@@ -1,12 +1,14 @@
 """Experiment orchestration: seeded sweeps and ensembles with CSV output.
 
 Instance seeds and fit seeds are drawn from separate counters so every
-model faces identical graphs.  Both synthetic runners share one instance
-loop, ``_run_synthetic``: it fits every model on each instance, builds each
-restart's run record and one summary row per (instance, model), and hands
-every file to ``_write``, which adds a manifest listing exactly the files
-written.  So a plan with the same seeds always produces byte-identical
-files, regardless of worker scheduling.
+model faces identical graphs.  All three runners take one record path:
+``_runs`` fits every model on each instance and builds each restart's run
+record, and ``_table`` sorts the records and projects the per-run CSV rows.
+The synthetic runners add one summary row per (instance, model) and the
+records as ``runs.jsonl``; ``run_real`` reports each model's best record.
+Each hands its files to ``_write``, which adds a manifest listing exactly
+the files written.  So a plan with the same seeds always produces
+byte-identical files, regardless of worker scheduling.
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
-from .core import Graph, _count, _json, _write_text, load_edge_list
+from .core import Partition, _count, _json, _write_text, load_edge_list
 from .generators import PpmSpec, SbmSpec, generate_ppm, generate_sbm
-from .metrics import assortativity_level, count_assortative_communities, nmi
-from .search import (OBJECTIVE_LIKELIHOOD, OBJECTIVE_MODULARITY, FitConfig,
-                     FitResult, multi_start)
-from .solver import AssortativityMode, _row_ends
+from .metrics import assortativity_level, nmi
+from .search import OBJECTIVE_LIKELIHOOD, OBJECTIVE_MODULARITY, FitConfig, multi_start
+from .solver import AssortativityMode, _assortative_rows, _row_ends
 
 __all__ = [
     "ExperimentPlan",
@@ -121,15 +122,19 @@ class ExperimentPlan:
         if self.kind not in KIND_FIELDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         # ints, floats (x + 0.0: -0.0 as 0.0) and tuples however given, so
-        # equal plans write equal bytes
-        for name, low in (("runs", 1), ("n", 1), ("k", 1), ("datasets", 1),
-                          ("workers", 1), ("fit_seed", 0), ("instance_seed", 0)):
-            object.__setattr__(self, name, _count(name, getattr(self, name), low))
+        # equal plans write equal bytes; a field the kind does not read is
+        # rejected as such before any check of its value
         object.__setattr__(self, "avg_degree", float(self.avg_degree) + 0.0)
         object.__setattr__(self, "models", tuple(self.models))
         for name in ("ratios", "diag_range", "offdiag_range"):
             object.__setattr__(self, name, tuple(float(x) + 0.0
                                                  for x in getattr(self, name)))
+        for f in fields(self):
+            if f.name not in KIND_FIELDS[self.kind] and getattr(self, f.name) != f.default:
+                raise ValueError(f"a {self.kind!r} plan does not read {f.name!r}")
+        for name, low in (("runs", 1), ("n", 1), ("k", 1), ("datasets", 1),
+                          ("workers", 1), ("fit_seed", 0), ("instance_seed", 0)):
+            object.__setattr__(self, name, _count(name, getattr(self, name), low))
         if not self.models:
             raise ValueError("at least one model is required")
         for model in self.models:
@@ -140,9 +145,6 @@ class ExperimentPlan:
         for key, values in (("models", self.models), ("ratios", self.ratios)):
             if len(set(values)) < len(values):
                 raise ValueError(f"{key} must list each entry once, got {list(values)}")
-        for f in fields(self):
-            if f.name not in KIND_FIELDS[self.kind] and getattr(self, f.name) != f.default:
-                raise ValueError(f"a {self.kind!r} plan does not read {f.name!r}")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentPlan":
@@ -167,23 +169,35 @@ class ExperimentPlan:
 _HINTS = get_type_hints(ExperimentPlan)
 
 
-def _fit_models(plan: ExperimentPlan,
-                graph: Graph) -> list[tuple[str, list[FitResult]]]:
-    """Each model of the plan with its multi_start results, best first."""
-    return [(model, multi_start(graph, model_fit_config(model, plan.k, plan.fit_seed),
-                                plan.runs, workers=plan.workers))
-            for model in plan.models]
+def _runs(plan: ExperimentPlan, instances) -> list[list[dict]]:
+    """Fit every model of the plan on each (tags, graph, truth) of
+    ``instances``, by one ``multi_start`` call each; return the run records
+    of every (instance, model), best first.  A record is the restart's
+    ``to_dict()`` with its NMI against ``truth`` (None without one), its
+    assortative-block count, run index, ``experiment`` (the kind), ``model``
+    and the instance's tags."""
+    cells = []
+    for tags, graph, truth in instances:
+        for model in plan.models:
+            results = multi_start(graph, model_fit_config(model, plan.k, plan.fit_seed),
+                                  plan.runs, workers=plan.workers)
+            cells.append([{**r.to_dict(), "model": model, **tags,
+                           "nmi": None if truth is None else nmi(truth, r.partition),
+                           "assortative_count": sum(_assortative_rows(
+                               *_row_ends(r.omega.tolist()), FEASIBILITY_TOL)),
+                           "run": r.seed - plan.fit_seed, "experiment": plan.kind}
+                          for r in results])
+    return cells
 
 
-def _records(results: list[FitResult], plan: ExperimentPlan, truth,
-             **tags) -> list[dict]:
-    """Each restart's run record: its ``to_dict()``, NMI against ``truth``,
-    assortative-block count, run index, ``experiment`` (the kind) and tags."""
-    return [{**result.to_dict(), "nmi": nmi(truth, result.partition),
-             "assortative_count": count_assortative_communities(
-                 result.omega, FEASIBILITY_TOL),
-             "run": result.seed - plan.fit_seed, "experiment": plan.kind, **tags}
-            for result in results]
+def _table(cells: list[list[dict]], fields: list[str]) -> tuple[list[dict], list[dict]]:
+    """The records of ``cells`` sorted by ``fields`` up to ``run``, and their
+    rows of ``fields`` (``loglik`` is ``log_likelihood``)."""
+    key = fields[:fields.index("run") + 1]
+    records = sorted((r for cell in cells for r in cell),
+                     key=lambda r: tuple(r[f] for f in key))
+    return records, [{f: r["log_likelihood" if f == "loglik" else f] for f in fields}
+                     for r in records]
 
 
 def _expect_kind(plan: ExperimentPlan, kind: str) -> None:
@@ -194,27 +208,22 @@ def _expect_kind(plan: ExperimentPlan, kind: str) -> None:
 def _run_synthetic(plan: ExperimentPlan, out_dir, instances, fields: list[str],
                    names: tuple[str, str]) -> list[dict]:
     """Fit every model on each (tags, graph, truth) of ``instances``; return
-    the CSV rows (``loglik`` is ``log_likelihood``) sorted by (``fields[0]``,
-    model, run).  Under ``out_dir``, write them as ``names[0]``, the records
-    as ``runs.jsonl`` and, as ``names[1]``, one row per (instance, model) of
-    its median, mean and best-``TOP_QUANTILE`` mean NMI."""
+    the CSV rows of ``_table``.  Under ``out_dir``, write them as
+    ``names[0]``, the records as ``runs.jsonl`` and, as ``names[1]``, one row
+    per (instance, model) of its median, mean and best-``TOP_QUANTILE`` mean
+    NMI."""
     key = fields[0]
-    records, summary = [], []
-    for tags, graph, truth in instances:
-        for model, results in _fit_models(plan, graph):
-            recs = _records(results, plan, truth, model=model, **tags)
-            # results come best first, so the top quantile is a prefix
-            scores = [r["nmi"] for r in recs]
-            top = scores[:max(1, math.ceil(TOP_QUANTILE * len(scores)))]
-            summary.append({key: tags[key], "model": model,
-                            "median_nmi": statistics.median(scores),
-                            "mean_nmi": float(np.mean(scores)),
-                            "top_quantile_mean_nmi": float(np.mean(top))})
-            records += recs
-    records.sort(key=lambda r: (r[key], r["model"], r["run"]))
+    cells = _runs(plan, instances)
+    summary = []
+    for recs in cells:  # best first, so the top quantile is a prefix
+        scores = [r["nmi"] for r in recs]
+        top = scores[:max(1, math.ceil(TOP_QUANTILE * len(scores)))]
+        summary.append({key: recs[0][key], "model": recs[0]["model"],
+                        "median_nmi": statistics.median(scores),
+                        "mean_nmi": float(np.mean(scores)),
+                        "top_quantile_mean_nmi": float(np.mean(top))})
     summary.sort(key=lambda r: (r[key], r["model"]))
-    rows = [{f: r["log_likelihood" if f == "loglik" else f] for f in fields}
-            for r in records]
+    records, rows = _table(cells, fields)
     _write(out_dir, plan, {
         names[0]: _csv(fields, rows),
         "runs.jsonl": "".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
@@ -259,45 +268,34 @@ def run_real(plan: ExperimentPlan, graph_path, k: int | None = None, *,
     ids) and report the best fits.  ``k``, if given, replaces the plan's
     k, so the manifest records the k that was fitted.
 
-    The report carries, per model, the winning run's block parameters with
-    their diagonal minimum / off-diagonal maximum, the achieved
-    assortativity level, and the block sizes.  No ground truth exists, so
-    no per-run records (``runs.jsonl``) are written.
+    The graph is the one instance of ``_runs``, with no tags and no truth
+    (``nmi`` is None).  ``real_runs.csv`` is the records' ``_table``; the
+    report gives, per model, its best record with Ω's diagonal minimum and
+    off-diagonal maximum, the assortativity level and the block sizes.  The
+    records stay in memory: no ``runs.jsonl`` is written.
     """
     _expect_kind(plan, "real-network")
     plan = replace(plan, k=plan.k if k is None else k)
     graph = load_edge_list(graph_path)
-
-    report: dict = {"graph": Path(graph_path).name, "n": graph.n,
-                    "total_weight": graph.total_weight, "k": plan.k, "models": {}}
-    rows: list[dict] = []
-    for model, results in _fit_models(plan, graph):
-        rows += [{"model": model, "run": r.seed - plan.fit_seed,
-                  "loglik": r.log_likelihood, "modularity": r.modularity,
-                  "sweeps": r.sweeps} for r in results]
-        best = results[0]
-        omega = best.omega
-        diag, off = _row_ends(omega.tolist())
-        sizes = best.partition.block_sizes()
-        report["models"][model] = {
-            "log_likelihood": best.log_likelihood,
-            "modularity": best.modularity,
-            "seed": best.seed,
-            "lambda": best.lam,
-            "omega": omega.tolist(),
-            "omega_diag_min": min(diag),
-            "omega_offdiag_max": max(off),
-            "assortativity_level": assortativity_level(omega, FEASIBILITY_TOL).value,
-            "block_sizes": sizes,
-            "nonempty_blocks": sum(1 for s in sizes if s > 0),
-            "partition": list(best.partition.assign),
-        }
-    rows.sort(key=lambda r: (r["model"], r["run"]))
-    _write(out_dir, plan, {
-        "real_runs.csv": _csv(["model", "run", "loglik", "modularity", "sweeps"],
-                              rows),
-        "real_report.json": _json(report)})
+    cells = _runs(plan, [({}, graph, None)])
+    report = {"graph": Path(graph_path).name, "n": graph.n,
+              "total_weight": graph.total_weight, "k": plan.k,
+              "models": {recs[0]["model"]: _best_fit(recs[0]) for recs in cells}}
+    fields = ["model", "run", "loglik", "modularity", "sweeps"]
+    _write(out_dir, plan, {"real_runs.csv": _csv(fields, _table(cells, fields)[1]),
+                           "real_report.json": _json(report)})
     return report
+
+
+def _best_fit(rec: dict) -> dict:
+    """A model's ``real_report.json`` entry, from its best run record."""
+    diag, off = _row_ends(rec["omega"])
+    sizes = Partition(rec["k"], rec["partition"]).block_sizes()
+    return {**{key: rec[key] for key in ("log_likelihood", "modularity", "seed",
+                                         "lambda", "omega", "partition")},
+            "omega_diag_min": min(diag), "omega_offdiag_max": max(off),
+            "assortativity_level": assortativity_level(rec["omega"], FEASIBILITY_TOL).value,
+            "block_sizes": sizes, "nonempty_blocks": sum(1 for s in sizes if s > 0)}
 
 
 def _csv(fields: list[str], rows: list[dict]) -> str:

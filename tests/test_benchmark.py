@@ -11,9 +11,9 @@ import pytest
 
 import acsbm.benchmark
 from acsbm import (AssortativityMode, ExperimentPlan, Partition, PpmSpec,
-                   SbmSpec, block_stats, generate_ppm, generate_sbm,
-                   log_likelihood, run_ppm_sweep, run_real, run_sbm_ensemble,
-                   write_instance)
+                   SbmSpec, block_stats, count_assortative_communities,
+                   generate_ppm, generate_sbm, log_likelihood, run_ppm_sweep,
+                   run_real, run_sbm_ensemble, write_instance)
 from acsbm.benchmark import KIND_FIELDS, model_fit_config
 
 
@@ -190,6 +190,9 @@ class TestSbmEnsemble:
             recomputed = log_likelihood(stats, rec["omega"])
             assert abs(recomputed - rec["log_likelihood"]) \
                 <= 1e-9 * (1 + abs(recomputed))
+            # the runners count on the solver's row ends; the metric validates
+            assert rec["assortative_count"] == \
+                count_assortative_communities(rec["omega"], 1e-6)
 
 
 class TestReal:
@@ -401,9 +404,12 @@ def test_real_manifest_records_the_k_fitted(tmp_path):
         assert (tmp_path / "None" / name).read_bytes() == (tmp_path / "4" / name).read_bytes()
 
 
-# a value away from the default for each field that some kind does not read
-AWAY = dict(instance_seed=7, n=24, avg_degree=6.0, ratios=[0.3], datasets=2,
-            diag_range=[0.4, 0.6], offdiag_range=[0.0, 0.3])
+# values away from the default for each field that some kind does not read:
+# the first valid, the others invalid, so an unread field is rejected as
+# unread before its value is checked
+AWAY = dict(instance_seed=(7, -1), n=(24, 0), avg_degree=(6.0,),
+            ratios=([0.3], [], [0.1, 0.1]), datasets=(2, 0),
+            diag_range=([0.4, 0.6],), offdiag_range=([0.0, 0.3],))
 DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentPlan)}
 
 
@@ -414,16 +420,17 @@ def test_a_plan_sets_only_the_fields_its_kind_reads(tmp_path, kind):
     reads = set(KIND_FIELDS[kind])
     assert set(AWAY) | reads == set(DEFAULTS)
     plan = ExperimentPlan(kind=kind, runs=2, k=2,
-                          **{name: AWAY[name] for name in reads & set(AWAY)})
+                          **{name: AWAY[name][0] for name in reads & set(AWAY)})
     assert set(plan.to_dict()) == reads
     path = tmp_path / "plan.json"
-    for name in sorted(set(AWAY) - reads):
+    for name, value in [(name, v) for name in sorted(set(AWAY) - reads)
+                        for v in AWAY[name]]:
         error = re.escape(f"a {kind!r} plan does not read {name!r}")
         with pytest.raises(ValueError, match=f"^{error}$"):
-            ExperimentPlan(kind=kind, runs=2, k=2, **{name: AWAY[name]})
+            ExperimentPlan(kind=kind, runs=2, k=2, **{name: value})
         with pytest.raises(ValueError, match=f"^{error}$"):
-            dataclasses.replace(plan, **{name: AWAY[name]})
-        path.write_text(json.dumps({**plan.to_dict(), name: AWAY[name]}))
+            dataclasses.replace(plan, **{name: value})
+        path.write_text(json.dumps({**plan.to_dict(), name: value}))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {error}$"):
             ExperimentPlan.from_json(path)
         # left at its default, the field is no setting: the plan is the same
@@ -441,8 +448,278 @@ def test_real_manifest_records_only_the_common_fields(tmp_path):
                                 "models": ["dc-sbm", "ac-dc-sbm", "modularity"]}
 
 
+@pytest.mark.parametrize("kind", ["ppm", "sbm", "real"])
+def test_manifest_lists_exactly_the_directory(tmp_path, kind):
+    out = tmp_path / "out"
+    if kind == "ppm":
+        run_ppm_sweep(tiny_ppm_plan(runs=1, ratios=[0.3]), out_dir=out)
+    elif kind == "sbm":
+        run_sbm_ensemble(tiny_sbm_plan(runs=1, datasets=1), out_dir=out)
+    else:
+        g, truth = generate_ppm(PpmSpec(n=24, k=2, avg_degree=6, ratio=0.2,
+                                        seed=5))
+        edges = write_instance(tmp_path / "net", g, truth, {})["edges"]
+        run_real(ExperimentPlan(kind="real-network", runs=1, k=2),
+                 graph_path=edges, out_dir=out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"] == sorted(p.name for p in out.iterdir())
+
+
+ROOT = Path(__file__).resolve().parent.parent
+KARATE = ROOT / "benchmarks" / "data" / "karate.edges"
+
+RUNNERS = {
+    "ppm-sweep": lambda plan, out: run_ppm_sweep(plan, out_dir=out),
+    "sbm-ensemble": lambda plan, out: run_sbm_ensemble(plan, out_dir=out),
+    "real-network": lambda plan, out: run_real(plan, KARATE, k=2, out_dir=out),
+}
+
+
+def record_fits(monkeypatch, note=lambda args: args) -> list:
+    """Patch the runners' multi_start so that each call first appends
+    ``note(args)`` to the returned list."""
+    notes = []
+    original = acsbm.benchmark.multi_start
+    monkeypatch.setattr(acsbm.benchmark, "multi_start",
+                        lambda *a, **kw: notes.append(note(a)) or original(*a, **kw))
+    return notes
+
+
+@pytest.mark.parametrize("runner, kind", [(r, k) for r in RUNNERS for k in RUNNERS
+                                          if k != r])
+def test_runner_rejects_a_plan_of_another_kind(tmp_path, monkeypatch, runner, kind):
+    fits = record_fits(monkeypatch)
+    plan = ExperimentPlan(kind=kind, runs=1, k=2, **{
+        "ppm-sweep": dict(n=24, avg_degree=6.0, ratios=[0.3]),
+        "sbm-ensemble": dict(n=24, datasets=1), "real-network": {}}[kind])
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=re.escape(f"{kind!r} plan cannot run "
+                                                   f"as a {runner!r}")):
+        RUNNERS[runner](plan, out)
+    assert fits == [] and not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["ppm", "sbm"])
+def test_every_instance_spec_checked_before_the_first_fit(tmp_path, monkeypatch,
+                                                          kind):
+    fits = record_fits(monkeypatch)
+    out = tmp_path / "out"
+    if kind == "ppm":  # the last ratio is out of range
+        with pytest.raises(ValueError, match="ratio must lie in"):
+            run_ppm_sweep(tiny_ppm_plan(ratios=[0.1, 0.2, 1.5]), out_dir=out)
+    else:
+        with pytest.raises(ValueError, match="invalid rate range"):
+            run_sbm_ensemble(tiny_sbm_plan(diag_range=(0.5, 0.4)), out_dir=out)
+    assert fits == [] and not out.exists()
+
+
+def test_instances_generated_one_at_a_time(tmp_path, monkeypatch):
+    # each graph is drawn just before its models are fitted, so no more
+    # than one instance is held at a time
+    made = []
+    original = acsbm.benchmark.generate_ppm
+    monkeypatch.setattr(acsbm.benchmark, "generate_ppm",
+                        lambda spec: made.append(spec) or original(spec))
+    drawn_at_fit = record_fits(monkeypatch, lambda args: len(made))
+    run_ppm_sweep(tiny_ppm_plan(runs=1), out_dir=tmp_path)
+    assert drawn_at_fit == [1, 1, 1, 2, 2, 2]  # 2 ratios x 3 models
+
+
+def test_integral_numbers_write_the_bytes_of_floats(tmp_path):
+    # a plan stores avg_degree, ratios and both ranges as floats, and -0.0
+    # as 0.0, so 0, -0.0 and 0.0 give the same CSV keys and the same manifest
+    base = tiny_ppm_plan(runs=1).to_dict()
+    for name, ratios, degree in (("int", [0, 1], 6), ("float", [0.0, 1.0], 6.0),
+                                 ("negative-zero", [-0.0, 1.0], 6.0)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**base, "ratios": ratios, "avg_degree": degree}))
+        run_ppm_sweep(ExperimentPlan.from_json(path), out_dir=tmp_path / name)
+    names = sorted(p.name for p in (tmp_path / "float").iterdir())
+    for other in ("int", "negative-zero"):
+        assert names == sorted(p.name for p in (tmp_path / other).iterdir())
+        for name in names:
+            assert (tmp_path / other / name).read_bytes() == \
+                (tmp_path / "float" / name).read_bytes(), (other, name)
+    plan = tiny_sbm_plan(diag_range=[1, 1], offdiag_range=(-0.0, 1))
+    assert (plan.diag_range, plan.offdiag_range) == ((1.0, 1.0), (0.0, 1.0))
+    assert {type(x) for x in plan.diag_range + plan.offdiag_range} == {float}
+    assert repr(plan.offdiag_range) == "(0.0, 1.0)"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("diag_range", [0.4, 0.5, 0.6]), ("offdiag_range", (0.1,)),
+    ("diag_range", 0.5), ("offdiag_range", "01"), ("diag_range", ["0.4", "0.5"]),
+    ("avg_degree", "8"), ("avg_degree", True), ("avg_degree", None),
+    ("ratios", ["0.5"]), ("ratios", [0.5, False]), ("ratios", 0.5),
+    ("models", "dc-sbm"),
+])
+def test_plan_built_in_code_gets_the_json_checks(key, value):
+    # unchecked, a 3-entry range fails only at unpacking inside the runner,
+    # and "8" or ["0.5"] are silently turned into floats
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        tiny_sbm_plan(**{key: value})
+
+
+def test_plan_takes_numpy_scalars_as_numbers():
+    # numpy's numeric scalars are accepted and stored as Python floats
+    plan = tiny_ppm_plan(avg_degree=np.int64(6), ratios=[np.float32(0.5)])
+    assert plan == tiny_ppm_plan(avg_degree=6.0, ratios=[0.5])
+    sbm = tiny_sbm_plan(diag_range=(np.float64(0.4), 1), offdiag_range=[0, 0.2])
+    assert sbm == tiny_sbm_plan(diag_range=(0.4, 1.0), offdiag_range=(0.0, 0.2))
+    assert {type(x) for x in [plan.avg_degree, *plan.ratios, *sbm.diag_range]} \
+        == {float}
+    with pytest.raises(ValueError, match="'avg_degree'"):
+        tiny_ppm_plan(avg_degree=np.bool_(True))
+
+
+def test_plan_is_frozen():
+    # an assignment would skip every check, and its value would reach the
+    # manifest unnormalised (avg_degree 6 for 6.0)
+    plan = tiny_sbm_plan()
+    for f in dataclasses.fields(plan):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(plan, f.name, getattr(plan, f.name))
+    assert plan == tiny_sbm_plan() and hash(plan) == hash(tiny_sbm_plan())
+
+
+def test_replace_checks_and_normalises_again():
+    plan = tiny_ppm_plan()
+    with pytest.raises(ValueError, match="^workers must be >= 1, got 0$"):
+        dataclasses.replace(plan, workers=0)
+    with pytest.raises(ValueError, match="'ratios'"):
+        dataclasses.replace(plan, ratios=["0.5"])
+    varied = dataclasses.replace(plan, avg_degree=6, ratios=[0, 1], k=np.int64(3))
+    assert (varied.avg_degree, varied.ratios, varied.k) == (6.0, (0.0, 1.0), 3)
+    assert {type(x) for x in (varied.avg_degree, *varied.ratios)} == {float}
+    assert type(varied.k) is int and type(varied.models) is tuple
+    assert plan.to_dict() == tiny_ppm_plan().to_dict()
+
+
+def test_json_errors_name_the_key_and_the_file(tmp_path):
+    path = tmp_path / "plan.json"
+    for plan in tiny_plans(workers=2):
+        for key in plan.to_dict():
+            path.write_text(json.dumps({**plan.to_dict(), key: {}}))
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{key!r}"):
+                ExperimentPlan.from_json(path)
+    plan = tiny_ppm_plan(workers=2).to_dict()
+    # checks of values, a missing kind, and a file that is not JSON or not
+    # UTF-8 name the file as well
+    for text, error in ((json.dumps({**plan, "runs": 0}), "runs must be >= 1, got 0"),
+                        (json.dumps({**plan, "models": []}), "at least one model"),
+                        (json.dumps({"runs": 2}), "kind"),
+                        ('{"kind": "ppm-sweep",}', "Expecting property name"),
+                        (b"\xff\xfe", "'utf-8' codec can't decode")):
+        path.write_bytes(text.encode() if isinstance(text, str) else text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{error}"):
+            ExperimentPlan.from_json(path)
+
+
+def test_real_manifest_records_the_k_fitted(tmp_path):
+    # the shipped plan has k 4; a k argument of 2 must reach the manifest
+    plan = dataclasses.replace(ExperimentPlan.from_json(ROOT / "plans" / "real.json"),
+                               runs=2)
+    assert plan.k == 4
+    for k in (None, 2, 4):
+        out = tmp_path / str(k)
+        report = run_real(plan, KARATE, k=k, out_dir=out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        expected = plan.k if k is None else k
+        assert report["k"] == manifest["plan"]["k"] == expected
+        assert all(len(info["omega"]) == expected for info in report["models"].values())
+    for name in ("real_runs.csv", "real_report.json", "manifest.json"):
+        assert (tmp_path / "None" / name).read_bytes() == (tmp_path / "4" / name).read_bytes()
+
+
+# values away from the default for each field that some kind does not read:
+# the first valid, the others invalid, so an unread field is rejected as
+# unread before its value is checked
+AWAY = dict(instance_seed=(7, -1), n=(24, 0), avg_degree=(6.0,),
+            ratios=([0.3], [], [0.1, 0.1]), datasets=(2, 0),
+            diag_range=([0.4, 0.6],), offdiag_range=([0.0, 0.3],))
+DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentPlan)}
+
+
+@pytest.mark.parametrize("kind", KIND_FIELDS)
+def test_a_plan_sets_only_the_fields_its_kind_reads(tmp_path, kind):
+    # built in code, read from JSON or derived by replace, a plan that sets
+    # a field its kind ignores fails, naming the kind and the field
+    reads = set(KIND_FIELDS[kind])
+    assert set(AWAY) | reads == set(DEFAULTS)
+    plan = ExperimentPlan(kind=kind, runs=2, k=2,
+                          **{name: AWAY[name][0] for name in reads & set(AWAY)})
+    assert set(plan.to_dict()) == reads
+    path = tmp_path / "plan.json"
+    for name, value in [(name, v) for name in sorted(set(AWAY) - reads)
+                        for v in AWAY[name]]:
+        error = re.escape(f"a {kind!r} plan does not read {name!r}")
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            ExperimentPlan(kind=kind, runs=2, k=2, **{name: value})
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            dataclasses.replace(plan, **{name: value})
+        path.write_text(json.dumps({**plan.to_dict(), name: value}))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {error}$"):
+            ExperimentPlan.from_json(path)
+        # left at its default, the field is no setting: the plan is the same
+        assert dataclasses.replace(plan, **{name: DEFAULTS[name]}) == plan
+
+
+def test_real_manifest_records_only_the_common_fields(tmp_path):
+    # a real network has no n, instances, ratios or rate ranges to record
+    plan = dataclasses.replace(ExperimentPlan.from_json(ROOT / "plans" / "real.json"),
+                               runs=1)
+    run_real(plan, KARATE, k=2, out_dir=tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["plan"] == {"kind": "real-network", "runs": 1, "fit_seed": 0,
+                                "k": 2, "workers": 1,
+                                "models": ["dc-sbm", "ac-dc-sbm", "modularity"]}
+
+
+def check_real_report(out: Path, fit_seed: int) -> None:
+    """Each model entry of ``real_report.json``: its best run, recomputed
+    from ``real_runs.csv``, and its block summaries from its own fit."""
+    report = json.loads((out / "real_report.json").read_text())
+    with open(out / "real_runs.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for model, entry in report["models"].items():
+        score = "modularity" if model == "modularity" else "loglik"
+        best = min((r for r in rows if r["model"] == model),
+                   key=lambda r: (-float(r[score]), int(r["run"])))
+        assert entry["seed"] == fit_seed + int(best["run"])
+        assert entry["log_likelihood"] == float(best["loglik"])
+        assert entry["modularity"] == float(best["modularity"])
+        omega = np.array(entry["omega"])
+        sizes = np.bincount(entry["partition"], minlength=report["k"])
+        assert entry["block_sizes"] == sizes.tolist()
+        assert entry["nonempty_blocks"] == np.count_nonzero(sizes)
+        assert entry["omega_diag_min"] == np.diag(omega).min()
+        assert entry["omega_offdiag_max"] == omega[~np.eye(report["k"], dtype=bool)].max()
+
+
+@pytest.mark.parametrize("kind", ["ppm", "sbm", "real"])
 def test_summary_recomputed_from_runs(tmp_path, kind):
+    if kind == "real":
+        plan = dataclasses.replace(ExperimentPlan.from_json(ROOT / "plans" / "real.json"),
+                                   runs=12)
+        report = run_real(plan, KARATE, k=3, out_dir=tmp_path)
+        assert json.loads((tmp_path / "real_report.json").read_text()) == report
+        with open(tmp_path / "real_runs.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for model, entry in report["models"].items():
+            # the best run by the model's own objective, the lower run on a tie
+            score = "modularity" if model == "modularity" else "loglik"
+            best = min((r for r in rows if r["model"] == model),
+                       key=lambda r: (-float(r[score]), int(r["run"])))
+            assert entry["seed"] == plan.fit_seed + int(best["run"])
+            assert entry["log_likelihood"] == float(best["loglik"])
+            assert entry["modularity"] == float(best["modularity"])
+            omega = np.array(entry["omega"])
+            sizes = np.bincount(entry["partition"], minlength=3)
+            assert entry["block_sizes"] == sizes.tolist()
+            assert entry["nonempty_blocks"] == np.count_nonzero(sizes)
+            assert entry["omega_diag_min"] == np.diag(omega).min()
+            assert entry["omega_offdiag_max"] == omega[~np.eye(3, dtype=bool)].max()
+        return
     if kind == "ppm":
         run_ppm_sweep(tiny_ppm_plan(runs=12), out_dir=tmp_path)
         key = "ratio"
@@ -474,8 +751,9 @@ def test_summary_recomputed_from_runs(tmp_path, kind):
 
 SMALL = dict(models=["dc-sbm", "ac-dc-sbm", "modularity"], runs=4, n=60, k=3)
 
-# SHA-256 of every artifact of three small plans at workers=1: the small
-# ppm and sbm plans of the CI workflow and plans/real.json on karate at K=2.
+# SHA-256 of every artifact of four small plans at workers=1: the small
+# ppm and sbm plans of the CI workflow and plans/real.json on karate at K=2
+# and at K=3, where dc-sbm's best fit is not assortative.
 PINNED = {
     "ppm": {
         "manifest.json": "bc58b9f147fc0ad46cee6aa85596158db4433a98751f80d58b4efca9b0027be4",
@@ -494,6 +772,11 @@ PINNED = {
         "real_report.json": "c06740103ee5d4033906ff7815de5d6a67901b9b320cfe6ae3b68a9b2f41d75d",
         "real_runs.csv": "4e349974a3c1cca825bcf6dd2b00d006600e33b7594f8f162fda6534eed0f6bb",
     },
+    "real-k3": {
+        "manifest.json": "28520181a3157374b08a3ceb197ee44c8ae66a27c699178aafea010efa529c1e",
+        "real_report.json": "04a9ce8b24981864c1aeb3759fbf3a7feeb34db3de740aad4a387705301f7a0d",
+        "real_runs.csv": "eb6af94728b32ce16577bfdd0348e3953eeddfafcb585707b2b62e8324a9a1ec",
+    },
 }
 
 
@@ -507,6 +790,6 @@ def test_artifacts_pinned(tmp_path, kind):
                          out_dir=tmp_path)
     else:
         plan = ExperimentPlan.from_json(ROOT / "plans" / "real.json")
-        run_real(plan, KARATE, k=2, out_dir=tmp_path)
+        run_real(plan, KARATE, k=3 if kind == "real-k3" else 2, out_dir=tmp_path)
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in tmp_path.iterdir()} == PINNED[kind]
