@@ -181,12 +181,12 @@ def _runs(plan: ExperimentPlan, instances) -> list[list[dict]]:
         for model in plan.models:
             results = multi_start(graph, model_fit_config(model, plan.k, plan.fit_seed),
                                   plan.runs, workers=plan.workers)
-            cells.append([{**r.to_dict(), "model": model, **tags,
+            cells.append([{**rec, "model": model, **tags,
                            "nmi": None if truth is None else nmi(truth, r.partition),
                            "assortative_count": sum(_assortative_rows(
-                               *_row_ends(r.omega.tolist()), FEASIBILITY_TOL)),
+                               *_row_ends(rec["omega"]), FEASIBILITY_TOL)),
                            "run": r.seed - plan.fit_seed, "experiment": plan.kind}
-                          for r in results])
+                          for r in results for rec in (r.to_dict(),)])
     return cells
 
 

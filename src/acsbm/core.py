@@ -66,7 +66,9 @@ class Graph:
     edges : iterable of (u, v, w)
         Edge multiset.  Entries are canonicalized to u <= v and repeated
         (u, v) pairs are merged by summing weights.  Weights must be
-        nonnegative integers; zero-weight entries are dropped.
+        nonnegative integers; zero-weight entries are dropped.  File and
+        user edge lists always take these checks; only the program's own
+        sampler skips them (``_from_canonical``).
 
     Attributes
     ----------
@@ -110,6 +112,19 @@ class Graph:
 
         canon = tuple(sorted((u, v, w) for (u, v), w in acc.items() if w > 0))
         del acc
+        self._derive(n, canon)
+
+    @classmethod
+    def _from_canonical(cls, n: int, edges: tuple) -> "Graph":
+        """The graph of ``edges``, which must be canonical (a sorted tuple of
+        distinct (u, v, w), 0 <= u <= v < n, w >= 1, all Python ints), built
+        without the checks: only for the program's own sampler, whose edges
+        cannot fail them.  File and user edge lists go through ``Graph``."""
+        graph = cls.__new__(cls)
+        graph._derive(n, edges)
+        return graph
+
+    def _derive(self, n: int, canon: tuple) -> None:
         degree = [0] * n
         self_weight = [0] * n
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]

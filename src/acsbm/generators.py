@@ -5,8 +5,8 @@ node pair (no self-loops) at the rate of its blocks, through one sampler:
 the PPM's rate matrix is p_in on the diagonal and p_out off it.  This
 matches the Poisson likelihood the fitters maximize.  Rates above 1 are
 legal: the output is a multigraph.  Sampling takes O(n^2) time and, besides
-the graph, O(n + 2^16) working memory: the pairs are drawn in blocks of at
-most 2^16.
+the graph, O(Kn + 2^16) working memory: the pairs are drawn in blocks of at
+most 2^16, with rates sliced from the K x n table omega[:, labels].
 """
 
 from __future__ import annotations
@@ -98,38 +98,43 @@ _BLOCK_PAIRS = 1 << 16  # node pairs drawn per Poisson call
 
 
 def _poisson_pair_counts(labels: np.ndarray, omega: np.ndarray,
-                         rng: np.random.Generator):
-    """Yield (u, v, count) for each node pair u < v whose independent Poisson
-    count at rate omega[labels[u], labels[v]] is positive.
+                         rng: np.random.Generator) -> tuple:
+    """The sorted canonical edges (u, v, count) of the node pairs u < v whose
+    independent Poisson count at rate omega[labels[u], labels[v]] is positive.
 
     The pairs are drawn in row-major order, a block of rows at a time (at
     most _BLOCK_PAIRS pairs, or one row): successive ``rng.poisson`` calls
     consume the generator's stream as one call over all pairs would, so the
-    counts do not depend on the block size.
+    counts do not depend on the block size.  Row u's rates are the slice
+    ``table[labels[u], u+1:]`` of the K x n table ``omega[:, labels]``.
     """
-    n, k = len(labels), len(omega)
+    n = len(labels)
+    table = omega[:, labels]
     # before[u]: the pairs (u', v > u') in the rows u' < u
     before = np.arange(n + 1) * (2 * n - 1 - np.arange(n + 1)) // 2
+    edges = []
     u0 = 0
     while u0 < n - 1:
         # the most rows whose pairs fit in one block, and at least one
         u1 = int(np.searchsorted(before, before[u0] + _BLOCK_PAIRS, "right")) - 1
         u1 = max(u1, u0 + 1)
-        rows = np.arange(u0, u1)
-        sizes = n - 1 - rows
+        counts = rng.poisson(np.concatenate(
+            [table[labels[u], u + 1:] for u in range(u0, u1)]))
+        pos = np.flatnonzero(counts)
         # row u's pairs start at block position before[u] - before[u0], v = u + 1
-        iu = np.repeat(rows, sizes)
-        ju = np.arange(len(iu)) + np.repeat(rows + 1 - before[u0:u1] + before[u0], sizes)
-        counts = rng.poisson(omega.take(labels[iu] * k + labels[ju]))
-        nz = counts > 0
-        yield from zip(iu[nz].tolist(), ju[nz].tolist(), counts[nz].tolist())
+        starts = before[u0:u1] - before[u0]
+        row = np.searchsorted(starts, pos, "right") - 1
+        u = row + u0
+        edges += zip(u.tolist(), (pos - starts[row] + u + 1).tolist(), counts[pos].tolist())
         u0 = u1
+    return tuple(edges)
 
 
 def _poisson_pair_graph(labels: np.ndarray, omega: np.ndarray,
                         rng: np.random.Generator) -> tuple[Graph, Partition]:
-    """The graph of ``_poisson_pair_counts`` and the partition of the labels."""
-    return (Graph(len(labels), _poisson_pair_counts(labels, omega, rng)),
+    """The graph of ``_poisson_pair_counts``, built from its canonical edges
+    without Graph's checks, and the partition of the labels."""
+    return (Graph._from_canonical(len(labels), _poisson_pair_counts(labels, omega, rng)),
             Partition(len(omega), labels.tolist()))
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from acsbm import (FitConfig, PpmSpec, SbmSpec, block_stats, fit,
+from acsbm import (FitConfig, Graph, PpmSpec, SbmSpec, block_stats, fit,
                    generate_ppm, generate_sbm, load_edge_list, nmi,
                    omega_mle, ppm_rates, read_labels, write_instance)
 from acsbm import generators
@@ -212,6 +212,45 @@ def test_sbm_matches_one_shot_draw(monkeypatch, block):
     rng = np.random.default_rng()
     rng.bit_generator.state = seen["state"]
     assert graph == one_shot_pair_graph(seen["labels"], seen["omega"], rng)
+
+
+def _grid_instances():
+    """(graph, labels, omega, seed) over n in {2, 3, 100, 257}, k in
+    {1, 2, 4, 7}: PPMs at ratio 0 and 1 and an SBM whose diagonal rates
+    reach 30 (rates >= 10 take numpy's other Poisson algorithm)."""
+    for n in (2, 3, 100, 257):
+        for k in (kk for kk in (1, 2, 4, 7) if kk <= n):
+            for ratio in (0.0, 1.0):
+                if k == n and ratio == 0.0:
+                    continue  # no pair can carry an edge
+                spec = PpmSpec(n=n, k=k, avg_degree=min(8.0, n / 2), ratio=ratio,
+                               seed=n + k)
+                graph, truth = generate_ppm(spec)
+                p_in, p_out = ppm_rates(n, k, spec.avg_degree, ratio)
+                omega = np.where(np.eye(k, dtype=bool), p_in, p_out)
+                yield graph, np.array(truth.assign), omega, spec.seed
+            spec = SbmSpec(n=n, k=k, diag_range=(10.0, 30.0), seed=n * k)
+            graph, truth, planted = generate_sbm(spec)
+            yield graph, np.array(truth.assign), planted, spec.seed
+
+
+@pytest.mark.parametrize("block", [None, 1, 7919])
+def test_generated_graphs_match_checking_constructor(monkeypatch, block):
+    # a sampled graph skips Graph's checks: every field must equal the one
+    # the checking constructor derives from its edges, and the sampler's
+    # edges the one-shot draw's
+    if block is not None:
+        monkeypatch.setattr(generators, "_BLOCK_PAIRS", block)
+    unsorted = 0
+    for graph, labels, omega, seed in _grid_instances():
+        checked = Graph(graph.n, list(graph.edges))
+        for field in ("edges", "degree", "total_weight", "adjacency", "self_weight"):
+            assert getattr(graph, field) == getattr(checked, field), field
+        assert all(type(x) is int for edge in graph.edges for x in edge)
+        edges = generators._poisson_pair_counts(labels, omega, np.random.default_rng(seed))
+        assert edges == one_shot_pair_graph(labels, omega, np.random.default_rng(seed)).edges
+        unsorted += bool(np.any(np.diff(labels) < 0))
+    assert unsorted
 
 
 def test_generation_memory_bounded():
