@@ -332,12 +332,17 @@ def edges_into_blocks(graph: Graph, partition: Partition, i: int) -> list[int]:
     return d
 
 
-def _check_move(partition: Partition, i: int, b: int) -> int:
+def _check_move(graph: Graph, partition: Partition, i: int, b: int) -> int:
     """Source block of node i, after checking that moving i to b is legal.
 
-    Raises ValueError if b is i's block or out of range, and
+    Raises ValueError if the partition does not cover the graph or i is not
+    a node (checked first), if b is i's block or out of range, and
     EmptyBlockMoveError if the move would leave the source block empty.
     """
+    if partition.n != graph.n:
+        raise ValueError(f"partition covers {partition.n} nodes, graph has {graph.n}")
+    if not 0 <= i < graph.n:
+        raise ValueError(f"node id {i} out of range [0, {graph.n})")
     a = partition.assign[i]
     if b == a:
         raise ValueError(f"node {i} already in block {b}")
@@ -380,9 +385,10 @@ def apply_relocation(stats: BlockStats, graph: Graph, partition: Partition,
     EmptyBlockMoveError
         If the move would leave block ``partition.assign[i]`` empty.
     ValueError
-        If b equals the current block of i or is out of range.
+        If i or b is out of range, b is i's block, or the partition's length
+        is not the graph's node count.
     """
-    a = _check_move(partition, i, b)
+    a = _check_move(graph, partition, i, b)
     out = stats.copy()
     d = edges_into_blocks(graph, partition, i)
     _relocate_stats(out, d, graph.degree[i], graph.self_weight[i], a, b)

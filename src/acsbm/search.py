@@ -6,20 +6,21 @@ relocations; a tried move updates the block statistics in place through
 
 The random start and each sweep's node order are the package's own draws
 (``_below``, ``_shuffle``) on the fit's ``random.Random(seed).getrandbits``:
-those of ``randrange`` and ``shuffle`` on CPython 3.10-3.13 at about two
-thirds of the cost, tied to the Mersenne Twister's output, not to stdlib
-algorithms that Python does not promise to keep.
+those of ``randrange`` and ``shuffle`` on CPython 3.10-3.13 at about half
+the cost, tied to the Mersenne Twister's output, not to stdlib algorithms
+that Python does not promise to keep.
 
 A node's edge weights into the K blocks are read from a per-fit table
 that each accepted move updates in O(deg(i)), so a candidate costs O(K).
-``delta_relocation``, the public one-off score, recounts them in
-O(K + deg(i)).
+``delta_relocation``, the public one-off score, shares no formula with the
+screen: it recounts the move and both profiles, in O(K^2 + deg(i)).
 
 Likelihood objective: each candidate is first scored with the
-*unconstrained* profile objective, updated incrementally in O(K) from
+*unconstrained* profile objective, its change computed inline in O(K) from
 x*log(x) of the integer block counts, looked up in a list over 0..2m that
 consecutive fits with the same 2m share (a memo per fit when edge weights
-are heavy).
+are heavy).  Source block a's terms are read once per node and after each
+of its moves; a candidate b then walks only the blocks other than a and b.
 Since the constrained optimum never exceeds the unconstrained one, a
 candidate that does not improve the current value is dropped unsolved.  So
 is one whose closed-form block parameters violate the requested
@@ -65,8 +66,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (BlockStats, Graph, Partition, _check_move, _count,
-                   _relocate_stats, block_stats, edges_into_blocks)
+from .core import (BlockStats, Graph, Partition, _count, _relocate_stats,
+                   apply_relocation, block_stats, edges_into_blocks)
 # log_likelihood, omega_mle and is_feasible are unused here; they stay module
 # attributes because the benchmark's tracer patches them.
 from .likelihood import _mle_cells, log_likelihood, modularity, omega_mle, \
@@ -207,44 +208,25 @@ def _profile(m, kappa, h) -> float:
     return 0.5 * sum(sum(map(at, row)) for row in m) - sum(map(at, kappa))
 
 
-def _delta_profile(m, kappa, h, d, ki, l2, a, b) -> float:
-    """Profile change for moving a node from block a to b.  O(K)."""
-    ma, mb = m[a], m[b]
-    da, db = d[a], d[b]
-    s = 0.0
-    for r in range(len(kappa)):
-        if r == a or r == b:
-            continue
-        dr = d[r]
-        if dr:
-            s += (h[ma[r] - dr] - h[ma[r]]) + (h[mb[r] + dr] - h[mb[r]])
-    s += s  # off-block cells change in both the row and the column
-    s += h[ma[a] - 2 * da - l2] - h[ma[a]]
-    s += h[mb[b] + 2 * db + l2] - h[mb[b]]
-    s += 2.0 * (h[ma[b] + da - db] - h[ma[b]])
-    return (0.5 * s
-            - (h[kappa[a] - ki] - h[kappa[a]])
-            - (h[kappa[b] + ki] - h[kappa[b]]))
-
-
 def delta_relocation(stats: BlockStats, graph: Graph, partition: Partition,
                      i: int, b: int) -> float:
     """Unconstrained profile objective change of relocating node i to b.
 
-    Exactly equals recomputing ``profile_log_likelihood`` on the moved
-    partition minus its current value, at O(K + deg(i)) cost.
+    A recount sharing no formula with ``fit``'s screen: ``apply_relocation``,
+    then the difference of the two profiles on one memo, in O(K^2 + deg(i)).
 
     Raises
     ------
     EmptyBlockMoveError
         If the move would empty the source block.
     ValueError
-        If b equals the current block of i or is out of range.
+        If i or b is out of range, b is i's block, or the partition's length
+        is not the graph's node count.
     """
-    a = _check_move(partition, i, b)
-    d = edges_into_blocks(graph, partition, i)
-    return _delta_profile(stats.m_block, stats.kappa, _XLogX(), d,
-                          graph.degree[i], graph.self_weight[i], a, b)
+    moved = apply_relocation(stats, graph, partition, i, b)
+    h = _XLogX()
+    return (_profile(moved.m_block, moved.kappa, h)
+            - _profile(stats.m_block, stats.kappa, h))
 
 
 def _below(getrandbits, n: int) -> int:
@@ -259,9 +241,12 @@ def _below(getrandbits, n: int) -> int:
 
 def _shuffle(x: list, getrandbits) -> None:
     """Shuffle x in place by Fisher-Yates from the end, with ``_below``'s
-    draws: ``random.Random.shuffle(x)``, draw for draw."""
+    draws made inline: ``random.Random.shuffle(x)``, draw for draw."""
     for i in range(len(x) - 1, 0, -1):
-        j = _below(getrandbits, i + 1)
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
         x[i], x[j] = x[j], x[i]
 
 
@@ -295,7 +280,9 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
     Each node's edge weight into every block is read from a table built once
     per fit in O(m) and updated in O(deg(i)) by each accepted move of node i,
     so a visit does not recount the node's neighbours.  The table holds n*K
-    integers (about 0.1 MB at n = 1000, K = 4).
+    integers (about 0.1 MB at n = 1000, K = 4).  A likelihood candidate is
+    screened inline in O(K) from its source block's terms, read once per
+    node and after each move, before its gain in Q is computed.
     """
     n, k, mode = graph.n, cfg.k, cfg.mode
     if k > n:
@@ -329,8 +316,11 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
     floor = None if by_q else best - 1e-9 * max(1.0, offset, abs(best))
     plateau = n_solves > 0 and _on_null_plateau(stats)
 
-    degree = graph.degree
+    degree, self_weight = graph.degree, graph.self_weight
     nbr = [edges_into_blocks(graph, partition, i) for i in range(n)]
+    # the blocks other than a and b, walked by the screen of a move a -> b
+    others = [[[r for r in range(k) if r != a and r != b] for b in range(k)]
+              for a in range(k)]
     filtered = 0
     sweeps = 0
     order = list(range(n))
@@ -345,14 +335,32 @@ def fit(graph: Graph, cfg: FitConfig) -> FitResult:
                 continue
             d = nbr[i]
             ki = degree[i]
-            l2 = graph.self_weight[i]
+            l2 = self_weight[i]
+            src = -1  # the block whose source terms below are current
             for b in range(k):
                 if b == a:
                     continue
-                if not by_q and prof + _delta_profile(
-                        m, kappa, h, d, ki, l2, a, b) <= best - offset:
-                    filtered += 1
-                    continue
+                if not by_q:
+                    if src != a:
+                        src, ma, da, ka = a, m[a], d[a], kappa[a]
+                        out_aa = h[ma[a] - 2 * da - l2] - h[ma[a]]
+                        out_ka = h[ka - ki] - h[ka]
+                        bar = best - offset
+                    # the profile change, summed in the order the pinned
+                    # fits were scored in; off-block cells count twice
+                    mb, db, kb = m[b], d[b], kappa[b]
+                    s = 0.0
+                    for r in others[a][b]:
+                        dr = d[r]
+                        if dr:
+                            s += ((h[ma[r] - dr] - h[ma[r]])
+                                  + (h[mb[r] + dr] - h[mb[r]]))
+                    s = (s + s + out_aa + (h[mb[b] + 2 * db + l2] - h[mb[b]])
+                         + 2.0 * (h[ma[b] + da - db] - h[ma[b]]))
+                    if prof + (0.5 * s - out_ka
+                               - (h[kb + ki] - h[kb])) <= bar:
+                        filtered += 1
+                        continue
                 # modularity change times (2m)^2 / 2
                 gain = two_m * (d[b] - d[a]) - ki * (kappa[b] - kappa[a] + ki)
                 if by_q and gain <= 0:

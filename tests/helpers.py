@@ -193,11 +193,12 @@ def numpy_strong_optimum(stats: BlockStats) -> float:
 
 
 def move_gains(graph: Graph, result: FitResult) -> tuple[float, np.ndarray]:
-    """The constrained log-likelihood of ``result``'s final partition in its
-    mode (strong or weak), and the gain over it of each of its
-    ``legal_moves``, scored without the search's code: block counts from
-    the dense adjacency, strong mode by ``numpy_strong_optimum``, weak mode
-    by ``solve_constrained`` once ``assert_weak_optimum`` certifies it."""
+    """The log-likelihood of ``result``'s final partition in its mode, and
+    the gain over it of each of its ``legal_moves``, scored without the
+    search's code: block counts from the dense adjacency, then mode NONE
+    (dc) by ``numpy_log_likelihood`` of the closed form m/T (0 where
+    T = 0), strong mode by ``numpy_strong_optimum``, weak mode by
+    ``solve_constrained`` once ``assert_weak_optimum`` certifies it."""
     a, k = dense_adjacency(graph), result.partition.k
 
     def score(assign) -> float:
@@ -205,6 +206,10 @@ def move_gains(graph: Graph, result: FitResult) -> tuple[float, np.ndarray]:
         m = onehot.T @ a @ onehot
         kappa = m.sum(axis=1)
         stats = BlockStats(k, m.tolist(), kappa.tolist(), int(kappa.sum()))
+        if result.mode is AssortativityMode.NONE:
+            m, t = numpy_m_t(stats)
+            return numpy_log_likelihood(
+                stats, np.divide(m, t, out=np.zeros_like(m), where=t > 0))
         if result.mode is AssortativityMode.STRONG:
             return numpy_strong_optimum(stats)
         omega = solve_constrained(stats, AssortativityMode.WEAK).omega

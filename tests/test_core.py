@@ -283,6 +283,19 @@ class TestApplyRelocation:
         with pytest.raises(EmptyBlockMoveError):
             apply_relocation(block_stats(g, p), g, p, 2, 0)
 
+    @pytest.mark.parametrize("i, assign, match", [
+        (-1, [0, 0, 1, 1], "node id -1"), (4, [0, 0, 1, 1], "node id 4"),
+        (-4, [0, 0, 1, 1], "node id -4"),
+        (0, [0, 0, 1, 1, 1], "partition covers 5 nodes")],
+        ids=["node -1", "node 4", "node -4", "5-entry partition"])
+    def test_node_outside_graph_rejected(self, i, assign, match):
+        # checked before the partition is read: -1 and -4 would index from
+        # the end, 4 past it, and a longer partition would be read as is
+        g = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+        st = block_stats(g, Partition(2, [0, 0, 1, 1]))
+        with pytest.raises(ValueError, match=match):
+            apply_relocation(st, g, Partition(2, assign), i, 0 if i else 1)
+
     def test_same_block_rejected(self, triangle_pair, triangle_split):
         st = block_stats(triangle_pair, triangle_split)
         for b in (0, -1, 2):
